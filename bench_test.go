@@ -436,50 +436,6 @@ func BenchmarkAblationRichRepeaterLibrary(b *testing.B) {
 		fmt.Sprintf("3-size library: %d Pareto points (single-size default: compare BenchmarkTable2RepeaterInsertion)\n", pts))
 }
 
-// BenchmarkParallelOptimize measures the parallel-subtree mode. Gains
-// depend on topology shape: sibling subtrees run concurrently, so wide
-// shallow stars benefit while deep chains (where the expensive joins sit
-// near the root) see mostly synchronization overhead — compare the
-// Star/Chain variants.
-func BenchmarkParallelOptimize(b *testing.B) {
-	b.Run("star-serial", func(b *testing.B) { benchStar(b, false) })
-	b.Run("star-parallel", func(b *testing.B) { benchStar(b, true) })
-	b.Run("rand20-serial", func(b *testing.B) { benchRand20(b, false) })
-	b.Run("rand20-parallel", func(b *testing.B) { benchRand20(b, true) })
-}
-
-func benchRand20(b *testing.B, parallel bool) {
-	loadBenchNets(b)
-	rt := benchNets.t20[0].RootAt(benchNets.t20[0].Terminals()[0])
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.Optimize(rt, benchNets.tech, core.Options{Repeaters: true, Parallel: parallel}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func benchStar(b *testing.B, parallel bool) {
-	// Eight 6 mm arms from a central hub: wide and shallow.
-	tr := topo.New()
-	hub := tr.AddSteiner(geom.Pt(0, 0))
-	root := tr.AddTerminal(geom.Pt(0, 100), buslib.DefaultTerminal("root"))
-	tr.AddEdge(hub, root, 100)
-	for i := 0; i < 8; i++ {
-		id := tr.AddTerminal(geom.Pt(6000, float64(i)*100), buslib.DefaultTerminal(fmt.Sprintf("t%d", i)))
-		tr.AddEdge(hub, id, 6000)
-	}
-	tr.PlaceInsertionPoints(800)
-	rt := tr.RootAt(root)
-	tech := buslib.Default()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.Optimize(rt, tech, core.Options{Repeaters: true, Parallel: parallel}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkCombinedMode regenerates the joint sizing+repeater study.
 func BenchmarkCombinedMode(b *testing.B) {
 	var row experiments.CombinedRow

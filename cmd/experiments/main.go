@@ -21,7 +21,6 @@ import (
 	"msrnet/internal/ard"
 	"msrnet/internal/buslib"
 	"msrnet/internal/cliflags"
-	"msrnet/internal/dominance"
 	"msrnet/internal/experiments"
 	"msrnet/internal/obs"
 	trc "msrnet/internal/obs/trace"
@@ -57,12 +56,6 @@ func main() {
 		fatal(err)
 	}
 	reg, tcr := run.Reg, run.Tracer
-	if reg != nil {
-		dominance.SetObserver(reg)
-	}
-	if tcr != nil {
-		dominance.SetTracer(tcr)
-	}
 	defer func() {
 		if err := run.Close(); err != nil {
 			fatal(err)

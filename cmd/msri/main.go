@@ -29,7 +29,6 @@ import (
 	"msrnet/internal/ard"
 	"msrnet/internal/cliflags"
 	"msrnet/internal/core"
-	"msrnet/internal/dominance"
 	"msrnet/internal/netio"
 	"msrnet/internal/rctree"
 	"msrnet/internal/report"
@@ -45,17 +44,16 @@ import (
 
 func main() {
 	var (
-		netPath  = flag.String("net", "", "net file (required)")
-		mode     = flag.String("mode", "repeaters", "repeaters | sizing | both")
-		spec     = flag.Float64("spec", 0, "timing spec in ns (0 = report full suite, choose min-ARD)")
-		svgOut   = flag.String("svg", "", "write an SVG of the chosen solution")
-		asgOut   = flag.String("assign", "", "write the chosen assignment as JSON")
-		widths   = flag.String("widths", "", "comma-separated wire width options (enables wire sizing)")
-		pruner   = flag.String("pruner", "divide", "divide | naive (MFS implementation)")
-		stats    = flag.Bool("stats", false, "print dynamic-programming statistics")
-		profOut  = flag.String("solveprof", "", "write a msrnet-solveprof/v1 candidate-lifecycle profile to this file (analyze with msrnetprof)")
-		parallel = flag.Bool("parallel", false, "evaluate independent subtrees of this one net concurrently (intra-net parallelism; composes with, and is independent of, msrnetd's worker-pool parallelism across jobs)")
-		rep      = flag.Bool("report", false, "print a before/after summary and placement report for the chosen solution")
+		netPath = flag.String("net", "", "net file (required)")
+		mode    = flag.String("mode", "repeaters", "repeaters | sizing | both")
+		spec    = flag.Float64("spec", 0, "timing spec in ns (0 = report full suite, choose min-ARD)")
+		svgOut  = flag.String("svg", "", "write an SVG of the chosen solution")
+		asgOut  = flag.String("assign", "", "write the chosen assignment as JSON")
+		widths  = flag.String("widths", "", "comma-separated wire width options (enables wire sizing)")
+		pruner  = flag.String("pruner", "divide", "divide | naive (MFS implementation)")
+		stats   = flag.Bool("stats", false, "print dynamic-programming statistics")
+		profOut = flag.String("solveprof", "", "write a msrnet-solveprof/v1 candidate-lifecycle profile to this file (analyze with msrnetprof)")
+		rep     = flag.Bool("report", false, "print a before/after summary and placement report for the chosen solution")
 	)
 	obsFlags := cliflags.Register(flag.CommandLine, cliflags.Caps{TraceEvents: true, Listen: true})
 	flag.Parse()
@@ -68,9 +66,6 @@ func main() {
 		fatal(err)
 	}
 	reg, tcr := run.Reg, run.Tracer
-	if tcr != nil {
-		dominance.SetTracer(tcr)
-	}
 	defer func() {
 		if err := run.Close(); err != nil {
 			fatal(err)
@@ -83,7 +78,7 @@ func main() {
 		fatal(err)
 	}
 	loadSpan.End()
-	opt := core.Options{Obs: run.Recorder(), Trace: tcr}
+	opt := core.Options{Obs: reg, Trace: tcr}
 	switch *mode {
 	case "repeaters":
 		opt.Repeaters = true
@@ -103,7 +98,6 @@ func main() {
 	default:
 		fatal(fmt.Errorf("unknown pruner %q", *pruner))
 	}
-	opt.Parallel = *parallel
 	opt.Profile = *profOut != ""
 	if *widths != "" {
 		for _, tok := range strings.Split(*widths, ",") {
@@ -117,7 +111,7 @@ func main() {
 
 	rt := tr.RootAt(tr.Terminals()[0])
 	base := rctree.NewNet(rt, tech, rctree.Assignment{})
-	baseARD := ard.Compute(base, ard.Options{Obs: run.Recorder(), Trace: tcr}).ARD
+	baseARD := ard.Compute(base, ard.Options{Obs: reg, Trace: tcr}).ARD
 	fmt.Printf("net: %d terminals, %d insertion points, %.0f µm wire, unoptimized ARD %.4f ns\n",
 		len(tr.Terminals()), len(tr.Insertions()), tr.TotalWireLength(), baseARD)
 

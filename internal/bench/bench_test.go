@@ -126,6 +126,38 @@ func TestProfileMSRI(t *testing.T) {
 	}
 }
 
+// TestCandidateCountsPinned pins the DP's two candidate counts on the
+// 10- and 12-pin bench nets. Stats.SolutionsCreated counts every
+// constructed batch, taking each insertion point's unbuffered
+// pass-through set a second time; LifecycleProfile.TotalBorn counts
+// each candidate once. The CI counter gate and the benchmark's
+// msri/20pin cross-check compare the first exactly, the waste gate
+// rests on the second, so a change to the DP's reporting hooks must
+// move neither.
+func TestCandidateCountsPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the MSRI DP; skipped with -short")
+	}
+	for _, tc := range []struct {
+		name          string
+		created, born int
+	}{
+		{"msri/10pin", 2685, 2078},
+		{"msri/12pin", 4299, 3718},
+	} {
+		res, err := ProfileMSRI(tc.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.Stats.SolutionsCreated; got != tc.created {
+			t.Errorf("%s: Stats.SolutionsCreated = %d, want %d", tc.name, got, tc.created)
+		}
+		if got := res.Profile.TotalBorn(); got != tc.born {
+			t.Errorf("%s: LifecycleProfile.TotalBorn = %d, want %d", tc.name, got, tc.born)
+		}
+	}
+}
+
 // TestCompareDetectsRegressions exercises the comparison rules on
 // synthetic reports, without running workloads.
 func TestCompareDetectsRegressions(t *testing.T) {

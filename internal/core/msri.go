@@ -5,9 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
-	"sync"
 
 	"msrnet/internal/buslib"
 	"msrnet/internal/obs"
@@ -72,16 +70,13 @@ type Options struct {
 	// the (rare, but possible; see the paper's footnote 13) exponential
 	// growth of the PWL solution space on adversarial inputs.
 	MaxSolutions int
-	// Parallel evaluates independent sibling subtrees on separate
-	// goroutines (bounded by GOMAXPROCS). The result is identical to the
-	// serial run; only wall-clock time changes.
-	Parallel bool
 	// Obs, when non-nil, receives detailed instrumentation: the
 	// "msri/solve" phase span, per-node solution-set-size histograms
-	// before and after pruning, PWL segment-count histograms, and prune
-	// call/drop counters keyed by pruner kind. A nil Obs keeps the hot
-	// paths allocation-free.
-	Obs obs.Recorder
+	// before and after pruning, PWL segment-count histograms, and the
+	// run's Stats counters (solutions created, prune calls and drops
+	// keyed by pruner kind, max set size), added once when the run ends
+	// or aborts. A nil Obs keeps the hot paths allocation-free.
+	Obs *obs.Registry
 	// Context, when non-nil, is polled at every node visit and prune
 	// call; once it is canceled or past its deadline the run unwinds and
 	// Optimize returns an error wrapping ctx.Err() (test with
@@ -119,10 +114,16 @@ type Options struct {
 	Profile bool
 }
 
-// Stats reports work done by the dynamic program. All counters are
-// deterministic: serial and parallel runs of the same input agree.
+// Stats reports work done by the dynamic program: the one counter block
+// every step reports into, read by the core/* metrics, the explain
+// reports and the bench gates. All counters are deterministic.
 type Stats struct {
-	SolutionsCreated int // total candidate solutions constructed
+	// SolutionsCreated counts the candidates of every constructed batch.
+	// An insertion point's unbuffered pass-through set enters its
+	// repeater batch again, so it is counted twice — once at its own
+	// construction, once at the insertion point — unlike
+	// LifecycleProfile.TotalBorn, which counts each candidate once.
+	SolutionsCreated int
 	MaxSetSize       int // largest per-node solution set after pruning
 	MaxSegs          int // largest PWL segment count observed
 	PruneCalls       int // prune invocations (counted for every pruner, including PruneOff)
@@ -182,26 +183,26 @@ func Optimize(rt *topo.Rooted, tech buslib.Tech, opt Options) (*Result, error) {
 		return nil, fmt.Errorf("core: CoarseEps %v must be a finite non-negative number", opt.CoarseEps)
 	}
 	d := &dp{rt: rt, tech: tech, opt: opt, ctx: opt.Context, tr: opt.Trace, tags: opt.TraceArgs}
-	if opt.Parallel {
-		d.sem = make(chan struct{}, runtime.GOMAXPROCS(0))
-	}
 	if opt.Profile {
-		d.lp = newLifeProf()
+		d.lp = NewLifecycleProfile()
 	}
-	if opt.Obs != nil {
-		kind := opt.Pruner.String()
+	if reg := opt.Obs; reg != nil {
 		d.ins = instr{
-			solutions:  opt.Obs.Counter("core/solutions_created"),
-			pruneCalls: opt.Obs.Counter("core/prune/" + kind + "/calls"),
-			pruneDrops: opt.Obs.Counter("core/prune/" + kind + "/drops"),
-			preSize:    opt.Obs.Histogram("core/set_size/pre_prune", nil),
-			postSize:   opt.Obs.Histogram("core/set_size/post_prune", nil),
-			segs:       opt.Obs.Histogram("core/pwl_segments", nil),
-			maxSet:     opt.Obs.Gauge("core/max_set_size"),
+			preSize:  reg.Histogram("core/set_size/pre_prune", nil),
+			postSize: reg.Histogram("core/set_size/post_prune", nil),
+			segs:     reg.Histogram("core/pwl_segments", nil),
 		}
+		// The counters are views of Stats, published once per run —
+		// deferred, so an aborted run still reports its partial work.
+		kind := opt.Pruner.String()
+		defer func() {
+			reg.Counter("core/solutions_created").Add(int64(d.stats.SolutionsCreated))
+			reg.Counter("core/prune/" + kind + "/calls").Add(int64(d.stats.PruneCalls))
+			reg.Counter("core/prune/" + kind + "/drops").Add(int64(d.stats.Dropped))
+			reg.Gauge("core/max_set_size").SetMax(int64(d.stats.MaxSetSize))
+		}()
 	}
-	span := obs.Start(opt.Obs, "msri/solve")
-	defer span.End()
+	defer opt.Obs.StartSpan("msri/solve").End()
 	// Root: single child (root is a leaf terminal).
 	children := rt.Children[rt.Root]
 	if len(children) != 1 {
@@ -209,8 +210,8 @@ func Optimize(rt *topo.Rooted, tech buslib.Tech, opt Options) (*Result, error) {
 	}
 	c := children[0]
 	childSet := d.solve(c)
-	if err := d.getErr(); err != nil {
-		return nil, err
+	if d.err != nil {
+		return nil, d.err
 	}
 	final := d.augment(childSet, rt.ParentEdge[c], rt.Root)
 	suite := d.rootSolutions(final)
@@ -218,32 +219,23 @@ func Optimize(rt *topo.Rooted, tech buslib.Tech, opt Options) (*Result, error) {
 		return nil, fmt.Errorf("core: no feasible solution (all domains pruned)")
 	}
 	if d.lp != nil {
+		d.lp.Runs = 1
 		d.lp.final(rt.Root, len(final))
 		for _, rs := range suite {
 			d.lp.survive(rs.sol)
 		}
 	}
-	return &Result{Suite: suite, Stats: d.stats, Profile: d.lp.profile()}, nil
+	return &Result{Suite: suite, Stats: d.stats, Profile: d.lp}, nil
 }
 
 // solve computes the pruned solution set for the subtree rooted at v.
-// In parallel mode, sibling subtrees of a branch node are evaluated on
-// separate goroutines; results are combined in deterministic child order
-// so serial and parallel runs produce identical suites. With a tracer
-// installed, every node contributes one timeline slice whose duration
-// covers its whole subtree (so the trace nests like the recursion) and
-// whose args carry the quantities Tables I–IV are governed by: the
-// final solution-set size and the largest PWL segment count in the set.
+// With a tracer installed, the node's timeline slice opens here and
+// closes in noteNode, so its duration covers the whole subtree and the
+// trace nests like the recursion.
 func (d *dp) solve(v int) []*Solution {
-	if d.tr == nil {
-		out := d.solveNode(v)
-		d.noteNode(v, len(out))
-		return out
-	}
 	rg := d.tr.Begin(nodeEventName(d.rt.Tree.Node(v).Kind), "core")
 	out := d.solveNode(v)
-	d.noteNode(v, len(out))
-	rg.End(d.targs(trace.I("node", v), trace.I("set", len(out)), trace.I("segs", maxSegsOf(out)))...)
+	d.noteNode(v, out, rg)
 	return out
 }
 
@@ -254,14 +246,18 @@ func (d *dp) targs(args ...trace.Arg) []trace.Arg {
 	return append(args, d.tags...)
 }
 
-// noteNode records one completed subtree solve and its final set size
-// — the per-node candidate-count profile the explain reports surface.
-func (d *dp) noteNode(v, setSize int) {
-	d.mu.Lock()
+// noteNode is the one report of a completed subtree solve: its final
+// set size feeds the per-node candidate-count profile the explain
+// reports surface and the lifecycle wavefront, and closes the node's
+// trace slice with the quantities Tables I–IV are governed by — the
+// final set size and the largest PWL segment count in the set.
+func (d *dp) noteNode(v int, out []*Solution, rg trace.Region) {
 	d.stats.NodesVisited++
-	d.stats.SetSizeSum += setSize
-	d.mu.Unlock()
-	d.lp.final(v, setSize)
+	d.stats.SetSizeSum += len(out)
+	d.lp.final(v, len(out))
+	if d.tr != nil {
+		rg.End(d.targs(trace.I("node", v), trace.I("set", len(out)), trace.I("segs", maxSegsOf(out)))...)
+	}
 }
 
 // nodeEventName maps a topology node kind to its trace slice name.
@@ -311,31 +307,10 @@ func (d *dp) solveNode(v int) []*Solution {
 		}}
 	}
 	lifted := make([][]*Solution, len(children))
-	if d.opt.Parallel && len(children) > 1 {
-		var wg sync.WaitGroup
-		for i, c := range children {
-			wg.Add(1)
-			go func(i, c int) {
-				defer wg.Done()
-				// Soft bound: acquire a slot when available; when the
-				// semaphore is full (deep nesting) proceed anyway rather
-				// than risk deadlock — the oversubscription is bounded by
-				// the tree's branching.
-				select {
-				case d.sem <- struct{}{}:
-					defer func() { <-d.sem }()
-				default:
-				}
-				lifted[i] = d.augment(d.solve(c), d.rt.ParentEdge[c], v)
-			}(i, c)
-		}
-		wg.Wait()
-	} else {
-		for i, c := range children {
-			lifted[i] = d.augment(d.solve(c), d.rt.ParentEdge[c], v)
-		}
+	for i, c := range children {
+		lifted[i] = d.augment(d.solve(c), d.rt.ParentEdge[c], v)
 	}
-	if d.getErr() != nil {
+	if d.err != nil {
 		return nil
 	}
 	cur := lifted[0]
@@ -348,8 +323,7 @@ func (d *dp) solveNode(v int) []*Solution {
 	return cur
 }
 
-// dp carries per-run state. The stats and error fields are shared across
-// subtree goroutines in parallel mode and guarded by mu.
+// dp carries per-run state. The walk is serial: one goroutine owns it.
 type dp struct {
 	rt   *topo.Rooted
 	tech buslib.Tech
@@ -357,41 +331,19 @@ type dp struct {
 	ctx  context.Context // nil disables deadline polling
 	ins  instr
 	tr   *trace.Tracer
-	tags []trace.Arg // identity args appended to every trace event
-	lp   *lifeProf   // candidate-lifecycle collector; nil unless Options.Profile
+	tags []trace.Arg       // identity args appended to every trace event
+	lp   *LifecycleProfile // candidate-lifecycle collector; nil unless Options.Profile
 
-	mu    sync.Mutex
 	stats Stats
-	err   error
-	sem   chan struct{} // bounds concurrent subtree goroutines
+	err   error // first error; once set the walk unwinds
 }
 
-// instr holds the metric handles resolved once per run, so the hot path
-// pays only nil-safe atomic updates (or nothing, when Options.Obs is
-// nil and every handle stays nil).
+// instr holds the per-event histogram handles resolved once per run
+// (all nil, and their updates no-ops, when Options.Obs is nil).
 type instr struct {
-	solutions  *obs.Counter
-	pruneCalls *obs.Counter
-	pruneDrops *obs.Counter
-	preSize    *obs.Histogram
-	postSize   *obs.Histogram
-	segs       *obs.Histogram
-	maxSet     *obs.Gauge
-}
-
-// setErr records the first error.
-func (d *dp) setErr(err error) {
-	d.mu.Lock()
-	if d.err == nil {
-		d.err = err
-	}
-	d.mu.Unlock()
-}
-
-func (d *dp) getErr() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.err
+	preSize  *obs.Histogram
+	postSize *obs.Histogram
+	segs     *obs.Histogram
 }
 
 // aborted polls the run's context (the periodic deadline check of the
@@ -399,62 +351,51 @@ func (d *dp) getErr() error {
 // node visit and every prune call — the two places where the remaining
 // work between checks is bounded by a single set operation.
 func (d *dp) aborted() bool {
-	if d.ctx != nil {
+	if d.err == nil && d.ctx != nil {
 		if err := d.ctx.Err(); err != nil {
-			d.setErr(fmt.Errorf("core: optimization aborted: %w", err))
-			return true
+			d.err = fmt.Errorf("core: optimization aborted: %w", err)
 		}
 	}
-	return d.getErr() != nil
+	return d.err != nil
 }
 
-func (d *dp) note(sols []*Solution) {
-	d.mu.Lock()
+// built is the one report of a freshly constructed candidate batch for
+// node v, scanned once: it feeds Stats.SolutionsCreated and MaxSegs,
+// the core/pwl_segments histogram and, under Options.Profile, the birth
+// stamps. sols[:passed] is an already-stamped set carried unchanged
+// into the batch (an insertion point's unbuffered candidates): it
+// counts as created again but is not born again.
+func (d *dp) built(sols []*Solution, passed int, class string, v int) {
 	d.stats.SolutionsCreated += len(sols)
-	for _, s := range sols {
-		if n := s.A.NumSegs(); n > d.stats.MaxSegs {
-			d.stats.MaxSegs = n
+	var segSum int64
+	for i, s := range sols {
+		a, b := s.A.NumSegs(), s.D.NumSegs()
+		d.stats.MaxSegs = max(d.stats.MaxSegs, a, b)
+		if d.ins.segs != nil {
+			d.ins.segs.ObserveInt(a)
+			d.ins.segs.ObserveInt(b)
 		}
-		if n := s.D.NumSegs(); n > d.stats.MaxSegs {
-			d.stats.MaxSegs = n
+		if d.lp != nil && i >= passed {
+			s.lc = &lifeRec{class: class, node: v, segs: int32(a + b), depth: lineageDepth(s)}
+			segSum += int64(a + b)
 		}
 	}
-	d.mu.Unlock()
-	if d.ins.segs != nil {
-		d.ins.solutions.Add(int64(len(sols)))
-		for _, s := range sols {
-			d.ins.segs.ObserveInt(s.A.NumSegs())
-			d.ins.segs.ObserveInt(s.D.NumSegs())
-		}
+	if d.lp != nil {
+		d.lp.born(len(sols)-passed, segSum, class, v, waveKind(d.rt.Tree.Node(v).Kind))
 	}
 }
 
-// noteSetSize records a finished per-node solution set that did not pass
-// through prune (already-pruned sets survive Augment unchanged, and a
-// plain leaf is a one-element set), keeping MaxSetSize consistent across
-// every construction path. v is the node the set belongs to, for the
-// profiling wavefront; the update sites of MaxSetSize (here and in
-// prune) are exactly the emitters of dp/wavefront instants, so the
-// traced wavefront maxima reconcile with Stats.MaxSetSize.
-func (d *dp) noteSetSize(v, n int) {
-	d.mu.Lock()
-	if n > d.stats.MaxSetSize {
-		d.stats.MaxSetSize = n
-	}
-	d.mu.Unlock()
-	d.ins.maxSet.SetMax(int64(n))
+// formed is the one report of a finished candidate set of n solutions
+// at node v — out of a prune, or straight from construction where no
+// prune runs (a plain leaf, a width-1 Augment, whose transform keeps
+// dominance). Every MaxSetSize update passes here, and so does every
+// dp/wavefront instant, so the traced wavefront maxima reconcile with
+// Stats.MaxSetSize.
+func (d *dp) formed(v, n int) {
+	d.stats.MaxSetSize = max(d.stats.MaxSetSize, n)
 	if d.lp != nil && d.tr != nil {
 		d.tr.Instant("dp/wavefront", "core", d.targs(trace.I("node", v), trace.I("set", n))...)
 	}
-}
-
-// born stamps a freshly constructed candidate batch with its birth
-// site. One nil check when profiling is off.
-func (d *dp) born(sols []*Solution, class string, node int) {
-	if d.lp == nil {
-		return
-	}
-	d.lp.born(sols, class, node, waveKind(d.rt.Tree.Node(node).Kind))
 }
 
 // waveKind names a node kind for the wavefront summary.
@@ -490,14 +431,6 @@ func (d *dp) prune(sols []*Solution, site string, v int) []*Solution {
 		out = pruneDivide(sols, d.opt.CoarseEps, d.lp)
 	}
 	drops := len(sols) - len(out)
-	if d.lp != nil {
-		d.lp.survivedPrune(out)
-		d.lp.died(v, drops)
-		if d.tr != nil {
-			d.tr.Instant("dp/wavefront", "core", d.targs(trace.I("node", v), trace.I("set", len(out)))...)
-		}
-	}
-	d.mu.Lock()
 	d.stats.PruneCalls++
 	d.stats.Dropped += drops
 	if d.stats.PruneSites == nil {
@@ -507,20 +440,13 @@ func (d *dp) prune(sols []*Solution, site string, v int) []*Solution {
 	ps.Calls++
 	ps.Drops += drops
 	d.stats.PruneSites[site] = ps
-	if len(out) > d.stats.MaxSetSize {
-		d.stats.MaxSetSize = len(out)
-	}
+	d.ins.preSize.ObserveInt(len(sols))
+	d.ins.postSize.ObserveInt(len(out))
+	d.lp.pruned(out, v, drops)
+	d.formed(v, len(out))
 	if d.opt.MaxSolutions > 0 && len(out) > d.opt.MaxSolutions && d.err == nil {
 		d.err = fmt.Errorf("core: solution set grew to %d (limit %d); see Options.MaxSolutions",
 			len(out), d.opt.MaxSolutions)
-	}
-	d.mu.Unlock()
-	if d.ins.pruneCalls != nil {
-		d.ins.pruneCalls.Inc()
-		d.ins.pruneDrops.Add(int64(drops))
-		d.ins.preSize.ObserveInt(len(sols))
-		d.ins.postSize.ObserveInt(len(out))
-		d.ins.maxSet.SetMax(int64(len(out)))
 	}
 	if d.tr != nil {
 		rg.End(d.targs(trace.S("site", site), trace.I("pre", len(sols)),
@@ -553,17 +479,15 @@ func (d *dp) leafSolutions(v int) []*Solution {
 	}
 	if !d.opt.SizeDrivers || !term.IsSource {
 		out := []*Solution{mk(0, term.Rout, term.DriverIntrinsic, nil)}
-		d.note(out)
-		d.born(out, ClassDrivers, v)
-		d.noteSetSize(v, len(out))
+		d.built(out, 0, ClassDrivers, v)
+		d.formed(v, len(out))
 		return out
 	}
 	out := make([]*Solution, 0, len(d.tech.Drivers))
 	for _, drv := range d.tech.Drivers {
 		out = append(out, mk(drv.Cost, drv.Rout, drv.Intrinsic, &drvRec{node: v, driver: drv}))
 	}
-	d.note(out)
-	d.born(out, ClassDrivers, v)
+	d.built(out, 0, ClassDrivers, v)
 	return d.prune(out, "drivers", v)
 }
 
@@ -605,13 +529,12 @@ func (d *dp) augment(sols []*Solution, eid, v int) []*Solution {
 			out = append(out, ns)
 		}
 	}
-	d.note(out)
 	if len(widths) > 1 {
-		d.born(out, ClassWireWidths, v)
+		d.built(out, 0, ClassWireWidths, v)
 		return d.prune(out, "wire_widths", v)
 	}
-	d.born(out, ClassWire, v)
-	d.noteSetSize(v, len(out))
+	d.built(out, 0, ClassWire, v)
+	d.formed(v, len(out))
 	return out
 }
 
@@ -622,8 +545,16 @@ func (d *dp) joinSets(s1, s2 []*Solution, v int) []*Solution {
 	out := make([]*Solution, 0, len(s1)*len(s2))
 	for _, a := range s1 {
 		for _, b := range s2 {
+			parity := a.Parity
 			if a.Parity != b.Parity {
-				continue
+				// Only terminals observe polarity: a side without any
+				// joins either parity and takes the other side's.
+				switch {
+				case a.noTerminals():
+					parity = b.Parity
+				case !b.noTerminals():
+					continue
+				}
 			}
 			dom := a.Dom.Shift(b.Cap).Intersect(b.Dom.Shift(a.Cap))
 			if dom.IsEmpty() {
@@ -648,17 +579,14 @@ func (d *dp) joinSets(s1, s2 []*Solution, v int) []*Solution {
 				A:      aShift.Max(bShift),
 				D:      pwl.MaxOver(dParts...),
 				Dom:    dom,
-				Parity: a.Parity,
+				Parity: parity,
 				from1:  a,
 				from2:  b,
 			})
 		}
 	}
-	d.note(out)
-	d.born(out, ClassJoin, v)
-	if d.lp != nil {
-		d.lp.joins(int64(len(s1)) * int64(len(s2)))
-	}
+	d.built(out, 0, ClassJoin, v)
+	d.lp.joins(int64(len(s1)) * int64(len(s2)))
 	return out
 }
 
@@ -699,7 +627,7 @@ func (d *dp) repeaterSolutions(sols []*Solution, v int) []*Solution {
 					na = pwl.Linear(a0+dUp, rUp)
 				}
 				parity := s.Parity
-				if rep.Inverting {
+				if rep.Inverting && !s.noTerminals() {
 					parity = 1 - parity
 				}
 				out = append(out, &Solution{
@@ -716,10 +644,9 @@ func (d *dp) repeaterSolutions(sols []*Solution, v int) []*Solution {
 			}
 		}
 	}
-	d.note(out)
 	// Only the repeater-capped candidates are new births; out[:len(sols)]
 	// passes the already-stamped unbuffered set through to the prune.
-	d.born(out[len(sols):], ClassRepeater, v)
+	d.built(out, len(sols), ClassRepeater, v)
 	return out
 }
 

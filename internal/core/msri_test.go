@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
 	"msrnet/internal/ard"
@@ -477,8 +478,12 @@ func TestPruneOffStillOptimal(t *testing.T) {
 	}
 }
 
-// TestParallelMatchesSerial: parallel subtree evaluation must produce an
-// identical suite to the serial run (deterministic combination order).
+// TestParallelMatchesSerial: profiled Optimize runs on parallel
+// goroutines — the shape of msrnetd's worker pool — must each reproduce
+// the serial run exactly: suite, full Stats (including the per-site
+// PruneSites breakdown) and lifecycle profile. Every run owns its
+// counter block and profile, so under -race this also proves the runs
+// share no mutable state.
 func TestParallelMatchesSerial(t *testing.T) {
 	r := rand.New(rand.NewSource(1015))
 	for trial := 0; trial < 15; trial++ {
@@ -487,33 +492,42 @@ func TestParallelMatchesSerial(t *testing.T) {
 		tr := testnet.RandTree(r, cfg)
 		tech := testnet.RandTech(r, 2, 0)
 		rt := tr.RootAt(testnet.RootTerminal(tr))
-		serial, err := core.Optimize(rt, tech, core.Options{Repeaters: true, Profile: true})
+		opt := core.Options{Repeaters: true, Profile: true}
+		serial, err := core.Optimize(rt, tech, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		par, err := core.Optimize(rt, tech, core.Options{Repeaters: true, Parallel: true, Profile: true})
-		if err != nil {
-			t.Fatal(err)
+		par := make([]*core.Result, 2)
+		errs := make([]error, len(par))
+		var wg sync.WaitGroup
+		for i := range par {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				par[i], errs[i] = core.Optimize(rt, tech, opt)
+			}(i)
 		}
-		if len(serial.Suite) != len(par.Suite) {
-			t.Fatalf("trial %d: suite sizes differ: %d vs %d", trial, len(serial.Suite), len(par.Suite))
-		}
-		for i := range serial.Suite {
-			if serial.Suite[i].Cost != par.Suite[i].Cost || serial.Suite[i].ARD != par.Suite[i].ARD {
-				t.Fatalf("trial %d: point %d differs: (%g,%g) vs (%g,%g)", trial, i,
-					serial.Suite[i].Cost, serial.Suite[i].ARD, par.Suite[i].Cost, par.Suite[i].ARD)
+		wg.Wait()
+		for i, res := range par {
+			if errs[i] != nil {
+				t.Fatal(errs[i])
 			}
-		}
-		// The full stats — including the per-site PruneSites breakdown —
-		// must merge identically regardless of goroutine interleaving.
-		if !reflect.DeepEqual(serial.Stats, par.Stats) {
-			t.Fatalf("trial %d: stats differ: %+v vs %+v", trial, serial.Stats, par.Stats)
-		}
-		// And so must the candidate-lifecycle profile: every aggregation
-		// is an order-independent sum.
-		if !reflect.DeepEqual(serial.Profile, par.Profile) {
-			t.Fatalf("trial %d: lifecycle profiles differ:\nserial: %+v\npar:    %+v",
-				trial, serial.Profile, par.Profile)
+			if len(serial.Suite) != len(res.Suite) {
+				t.Fatalf("trial %d run %d: suite sizes differ: %d vs %d", trial, i, len(serial.Suite), len(res.Suite))
+			}
+			for k := range serial.Suite {
+				if serial.Suite[k].Cost != res.Suite[k].Cost || serial.Suite[k].ARD != res.Suite[k].ARD {
+					t.Fatalf("trial %d run %d: point %d differs: (%g,%g) vs (%g,%g)", trial, i, k,
+						serial.Suite[k].Cost, serial.Suite[k].ARD, res.Suite[k].Cost, res.Suite[k].ARD)
+				}
+			}
+			if !reflect.DeepEqual(serial.Stats, res.Stats) {
+				t.Fatalf("trial %d run %d: stats differ: %+v vs %+v", trial, i, serial.Stats, res.Stats)
+			}
+			if !reflect.DeepEqual(serial.Profile, res.Profile) {
+				t.Fatalf("trial %d run %d: lifecycle profiles differ:\nserial: %+v\nrun:    %+v",
+					trial, i, serial.Profile, res.Profile)
+			}
 		}
 	}
 }

@@ -10,8 +10,8 @@ import (
 	"msrnet/internal/obs"
 )
 
-// TestOptimizeRecordsMetrics is the end-to-end instrumentation check of
-// the issue: a 16-terminal net run with a live Recorder must produce
+// TestOptimizeRecordsMetrics is the end-to-end instrumentation check:
+// a 16-terminal net run with a live registry must produce
 // non-zero prune counters, solution-set-size histograms and PWL-segment
 // histograms, the "msri/solve" span, and a snapshot consistent with the
 // returned Stats.
@@ -122,5 +122,30 @@ func TestOptimizeStatsConsistentAcrossPruners(t *testing.T) {
 	}
 	if res.Stats.Dropped != 0 {
 		t.Errorf("PruneOff dropped %d solutions", res.Stats.Dropped)
+	}
+}
+
+// TestAbortedRunPublishesPartialCounts: the core/* counters are read off
+// Stats when the run ends, and an aborted run must still publish the
+// work it did before the abort.
+func TestAbortedRunPublishesPartialCounts(t *testing.T) {
+	tr, err := netgen.Generate(1, netgen.Defaults(10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.New()
+	_, err = core.Optimize(tr.RootAt(tr.Terminals()[0]), buslib.Default(),
+		core.Options{Repeaters: true, MaxSolutions: 8, Obs: reg})
+	if err == nil {
+		t.Fatal("MaxSolutions 8 did not abort the 10-pin run")
+	}
+	snap := reg.Snapshot()
+	for _, name := range []string{"core/solutions_created", "core/prune/divide/calls", "core/prune/divide/drops"} {
+		if snap.Counters[name] == 0 {
+			t.Errorf("aborted run published no %s", name)
+		}
+	}
+	if got := snap.Gauges["core/max_set_size"]; got <= 8 {
+		t.Errorf("max set gauge = %d, want the over-limit set size", got)
 	}
 }

@@ -1,7 +1,5 @@
 package core
 
-import "sync"
-
 // Candidate-lifecycle profiling (Options.Profile): every solution the
 // DP constructs is stamped with a birth site — the topology node it was
 // built for plus the candidate class of the construction rule — and its
@@ -13,8 +11,8 @@ import "sync"
 // pruning (ROADMAP open item 1).
 //
 // The accounting is deterministic: every field is an order-independent
-// sum, so serial and parallel runs of the same input produce identical
-// profiles, and repeated runs produce byte-identical artifacts.
+// sum, so repeated runs of the same input produce identical profiles
+// and byte-identical artifacts.
 
 // Candidate classes: the construction rule that created a solution.
 // They deliberately match the Stats.PruneSites keys where a prune
@@ -204,8 +202,10 @@ func (p *LifecycleProfile) waveAt(node int) *WaveStats {
 	return w
 }
 
-// TotalBorn sums candidates constructed across all sites; on a
-// single-run profile it equals Stats.SolutionsCreated.
+// TotalBorn sums candidates constructed across all sites, each counted
+// once. It is below Stats.SolutionsCreated whenever repeaters are on:
+// that counter takes an insertion point's unbuffered pass-through set a
+// second time, at the insertion point, where TotalBorn does not.
 func (p *LifecycleProfile) TotalBorn() int {
 	n := 0
 	for _, st := range p.Sites {
@@ -287,45 +287,28 @@ type lifeRec struct {
 	domCut bool
 }
 
-// lifeProf is the run-scoped collector behind Options.Profile. All
-// aggregate updates are commutative sums under one mutex, so parallel
-// subtree goroutines produce the same profile as a serial run. A nil
-// *lifeProf (profiling off) costs one pointer check per hook.
-type lifeProf struct {
-	mu sync.Mutex
-	p  *LifecycleProfile
-}
+// The collector methods below feed a run's profile from the DP's
+// hooks. A nil *LifecycleProfile (profiling off) costs one pointer
+// check per hook.
 
-func newLifeProf() *lifeProf {
-	return &lifeProf{p: NewLifecycleProfile()}
-}
-
-// born stamps a freshly constructed batch and charges its construction
-// work to the site ledger.
-func (lp *lifeProf) born(sols []*Solution, class string, node int, kind string) {
-	if lp == nil || len(sols) == 0 {
+// born charges a freshly stamped batch of n candidates and their
+// construction work (segs PWL segments) to the site ledger and the
+// node's wavefront.
+func (p *LifecycleProfile) born(n int, segs int64, class string, node int, kind string) {
+	if p == nil || n == 0 {
 		return
 	}
-	var segSum int64
-	for _, s := range sols {
-		segs := s.A.NumSegs() + s.D.NumSegs()
-		s.lc = &lifeRec{class: class, node: node, segs: int32(segs), depth: lineageDepth(s)}
-		segSum += int64(segs)
-	}
-	k := SiteKey{Class: class, Node: node}
-	lp.mu.Lock()
-	st := lp.p.site(k)
-	st.Born += len(sols)
-	st.SegOps += segSum
-	st.Allocs += int64(len(sols))
-	lp.p.TotalSegOps += segSum
-	lp.p.TotalAllocs += int64(len(sols))
-	w := lp.p.waveAt(node)
+	st := p.site(SiteKey{Class: class, Node: node})
+	st.Born += n
+	st.SegOps += segs
+	st.Allocs += int64(n)
+	p.TotalSegOps += segs
+	p.TotalAllocs += int64(n)
+	w := p.waveAt(node)
 	if w.Kind == "" {
 		w.Kind = kind
 	}
-	w.Born += len(sols)
-	lp.mu.Unlock()
+	w.Born += n
 }
 
 // lineageDepth is the survival depth a freshly constructed candidate
@@ -345,7 +328,7 @@ func lineageDepth(s *Solution) int32 {
 // kill attributes one death: dominator s emptied t's remaining domain.
 // t still carries its pre-subtraction domain, so the eps=0 re-check
 // sees exactly the state the relaxed kill saw.
-func (lp *lifeProf) kill(s, t *Solution, eps float64) {
+func (p *LifecycleProfile) kill(s, t *Solution, eps float64) {
 	lc := t.lc
 	cause := CauseDelay
 	switch {
@@ -364,15 +347,13 @@ func (lp *lifeProf) kill(s, t *Solution, eps float64) {
 		k = SiteKey{Class: lc.class, Node: lc.node}
 		depth = int(lc.depth)
 	}
-	lp.mu.Lock()
-	st := lp.p.site(k)
+	st := p.site(k)
 	dc := st.Deaths[cause]
 	dc.add(cell)
 	st.Deaths[cause] = dc
-	lp.p.Depth[depthBucket(depth)].add(cell)
-	lp.p.WastedSegOps += cell.SegOps
-	lp.p.WastedAllocs += cell.Allocs
-	lp.mu.Unlock()
+	p.Depth[depthBucket(depth)].add(cell)
+	p.WastedSegOps += cell.SegOps
+	p.WastedAllocs += cell.Allocs
 }
 
 // killsExactly reports whether s still empties t's remaining domain
@@ -386,10 +367,12 @@ func killsExactly(s, t *Solution) bool {
 	return t.Dom.Subtract(reg).IsEmpty()
 }
 
-// survivedPrune bumps the survival depth of every candidate that came
-// out of a prune alive.
-func (lp *lifeProf) survivedPrune(out []*Solution) {
-	if lp == nil {
+// pruned records one prune at node: every candidate that came out
+// alive gains a survival-depth level, and the drop count is charged to
+// the node's wavefront "died here" axis (the per-candidate attribution
+// happened in kill).
+func (p *LifecycleProfile) pruned(out []*Solution, node, drops int) {
+	if p == nil {
 		return
 	}
 	for _, s := range out {
@@ -397,59 +380,32 @@ func (lp *lifeProf) survivedPrune(out []*Solution) {
 			s.lc.depth++
 		}
 	}
-}
-
-// died charges a prune call's drop count to the node being pruned (the
-// wavefront's "died here" axis; the per-candidate attribution happened
-// in kill).
-func (lp *lifeProf) died(node int, drops int) {
-	if lp == nil || drops == 0 {
-		return
+	if drops != 0 {
+		p.waveAt(node).Died += drops
 	}
-	lp.mu.Lock()
-	lp.p.waveAt(node).Died += drops
-	lp.mu.Unlock()
 }
 
 // final records a node's finished set size on the wavefront.
-func (lp *lifeProf) final(node int, size int) {
-	if lp == nil {
+func (p *LifecycleProfile) final(node int, size int) {
+	if p == nil {
 		return
 	}
-	lp.mu.Lock()
-	lp.p.waveAt(node).Final = size
-	lp.mu.Unlock()
+	p.waveAt(node).Final = size
 }
 
 // joins counts JoinSets pairings examined (built or skipped).
-func (lp *lifeProf) joins(n int64) {
-	if lp == nil || n == 0 {
+func (p *LifecycleProfile) joins(n int64) {
+	if p == nil {
 		return
 	}
-	lp.mu.Lock()
-	lp.p.JoinPairings += n
-	lp.mu.Unlock()
+	p.JoinPairings += n
 }
 
 // survive credits one suite point to the closing solution's birth site.
-func (lp *lifeProf) survive(s *Solution) {
-	if lp == nil {
-		return
-	}
+func (p *LifecycleProfile) survive(s *Solution) {
 	k := SiteKey{}
 	if s.lc != nil {
 		k = SiteKey{Class: s.lc.class, Node: s.lc.node}
 	}
-	lp.mu.Lock()
-	lp.p.site(k).Survived++
-	lp.mu.Unlock()
-}
-
-// profile finalizes and returns the collected profile.
-func (lp *lifeProf) profile() *LifecycleProfile {
-	if lp == nil {
-		return nil
-	}
-	lp.p.Runs = 1
-	return lp.p
+	p.site(k).Survived++
 }

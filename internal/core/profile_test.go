@@ -60,7 +60,6 @@ func TestProfileDeathsReconcile(t *testing.T) {
 		{"sizing", 0, 1012, Options{Repeaters: true, SizeDrivers: true, Profile: true}},
 		{"widths", 0, 1011, Options{Repeaters: true, WireWidths: []float64{1, 2}, WireCostPerUm: 1e-4, Profile: true}},
 		{"naive", 10, 1, Options{Repeaters: true, Pruner: PruneNaive, Profile: true}},
-		{"parallel", 12, 3, Options{Repeaters: true, Parallel: true, Profile: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var res *Result
@@ -243,8 +242,8 @@ func TestKillsExactly(t *testing.T) {
 	}
 }
 
-// TestProfileZeroAllocWhenOff extends the PR-1 zero-alloc guard to the
-// lifecycle hooks: with profiling off (nil lifeProf), the born/prune
+// TestProfileZeroAllocWhenOff extends the zero-alloc guard to the
+// lifecycle hooks: with profiling off (nil profile), the born/prune
 // paths must not allocate.
 func TestProfileZeroAllocWhenOff(t *testing.T) {
 	d := &dp{opt: Options{}}
@@ -253,9 +252,8 @@ func TestProfileZeroAllocWhenOff(t *testing.T) {
 		A: pwl.Linear(1, 2), D: pwl.NegInf(), Dom: pwl.Full(),
 	}}
 	if n := testing.AllocsPerRun(1000, func() {
-		d.born(sols, ClassJoin, 1)
-		d.lp.survivedPrune(sols)
-		d.lp.died(1, 0)
+		d.built(sols, 0, ClassJoin, 1)
+		d.lp.pruned(sols, 1, 0)
 		d.lp.final(1, 1)
 		d.lp.joins(4)
 	}); n != 0 {

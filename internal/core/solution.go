@@ -59,7 +59,9 @@ type Solution struct {
 	// Parity is the polarity of the subtree's terminals relative to the
 	// subtree root signal (0 = non-inverted). Only meaningful when
 	// inverting repeaters are in play; solutions of differing parity are
-	// incomparable and at the root parity must be 0.
+	// incomparable and at the root parity must be 0. A subtree without
+	// terminals (a dangling Steiner stub) has no polarity: it stays 0
+	// under an inverter and joins a sibling of either parity.
 	Parity int
 
 	// Derivation for assignment reconstruction.
@@ -73,6 +75,12 @@ type Solution struct {
 	// shrunk-domain copies share it, since a copy is the same logical
 	// candidate.
 	lc *lifeRec
+}
+
+// noTerminals reports whether the subtree holds no terminal: no sink
+// (Q = −Inf) and no source (A ≡ −Inf). Only parity decisions ask.
+func (s *Solution) noTerminals() bool {
+	return math.IsInf(s.Q, -1) && math.IsInf(s.A.Eval(0), -1)
 }
 
 type placedRec struct {
@@ -197,7 +205,7 @@ func scalarLeq(a, b, tol float64) bool {
 // removed. The input slice is not modified; surviving solutions may carry
 // reduced domains. lp, when non-nil, receives one death attribution per
 // candidate at the subtraction that empties its domain.
-func pruneNaive(sols []*Solution, eps float64, lp *lifeProf) []*Solution {
+func pruneNaive(sols []*Solution, eps float64, lp *LifecycleProfile) []*Solution {
 	work := make([]*Solution, len(sols))
 	copy(work, sols)
 	sortSolutions(work)
@@ -239,7 +247,7 @@ func pruneNaive(sols []*Solution, eps float64, lp *lifeProf) []*Solution {
 // half against the other. Suboptimal solutions discarded deep in the
 // recursion never participate in higher-level comparisons, which is the
 // source of the speedup in practice.
-func pruneDivide(sols []*Solution, eps float64, lp *lifeProf) []*Solution {
+func pruneDivide(sols []*Solution, eps float64, lp *LifecycleProfile) []*Solution {
 	work := make([]*Solution, len(sols))
 	copy(work, sols)
 	sortSolutions(work)
@@ -254,7 +262,7 @@ func pruneDivide(sols []*Solution, eps float64, lp *lifeProf) []*Solution {
 	return final
 }
 
-func mfsRec(sols []*Solution, eps float64, lp *lifeProf) []*Solution {
+func mfsRec(sols []*Solution, eps float64, lp *LifecycleProfile) []*Solution {
 	if len(sols) <= 1 {
 		return sols
 	}
@@ -273,7 +281,7 @@ func mfsRec(sols []*Solution, eps float64, lp *lifeProf) []*Solution {
 
 // pruneAgainst shrinks the domains of targets using the members of
 // pruners, returning the surviving targets.
-func pruneAgainst(targets, prunners []*Solution, eps float64, lp *lifeProf) []*Solution {
+func pruneAgainst(targets, prunners []*Solution, eps float64, lp *LifecycleProfile) []*Solution {
 	out := make([]*Solution, 0, len(targets))
 	for _, t := range targets {
 		cur := t

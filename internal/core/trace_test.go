@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"reflect"
+	"sync"
 	"testing"
 
 	"msrnet/internal/buslib"
@@ -85,9 +86,9 @@ func TestOptimizeTracesPerNode(t *testing.T) {
 	}
 }
 
-// TestOptimizeTraceParallelRace exercises the tracer from the parallel
-// subtree goroutines (meaningful under -race) and checks the run is
-// still deterministic.
+// TestOptimizeTraceParallelRace exercises one tracer from Optimize runs
+// on parallel goroutines, as msrnetd's workers share its ring (meaningful
+// under -race), and checks every run is still deterministic.
 func TestOptimizeTraceParallelRace(t *testing.T) {
 	tr, err := netgen.Generate(3, netgen.Defaults(12))
 	if err != nil {
@@ -100,15 +101,27 @@ func TestOptimizeTraceParallelRace(t *testing.T) {
 		t.Fatal(err)
 	}
 	tcr := trace.New(1 << 12)
-	par, err := Optimize(rt, tech, Options{Repeaters: true, Parallel: true, Trace: tcr})
-	if err != nil {
-		t.Fatal(err)
+	par := make([]*Result, 3)
+	errs := make([]error, len(par))
+	var wg sync.WaitGroup
+	for i := range par {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			par[i], errs[i] = Optimize(rt, tech, Options{Repeaters: true, Trace: tcr, TraceArgs: []trace.Arg{trace.I("job", i)}})
+		}(i)
 	}
-	if !reflect.DeepEqual(par.Stats, serial.Stats) || len(par.Suite) != len(serial.Suite) {
-		t.Errorf("parallel traced run diverged: %+v vs %+v", par.Stats, serial.Stats)
+	wg.Wait()
+	for i, res := range par {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if !reflect.DeepEqual(res.Stats, serial.Stats) || len(res.Suite) != len(serial.Suite) {
+			t.Errorf("run %d traced on a shared ring diverged: %+v vs %+v", i, res.Stats, serial.Stats)
+		}
 	}
 	if tcr.Total() == 0 {
-		t.Error("parallel run recorded no events")
+		t.Error("parallel runs recorded no events")
 	}
 }
 
@@ -172,12 +185,11 @@ func TestWavefrontReconcilesWithMaxSetSize(t *testing.T) {
 	}
 }
 
-// TestInstrumentationZeroAllocWhenOff is the nil-Recorder fast-path
-// guard (PR-1 invariant, re-stated over the tracer): with Options.Obs
-// and Options.Trace both nil, the per-node instrumentation sites —
-// stats notes, nil metric handles, nil trace regions — must not
-// allocate. AllocsPerRun compiles the same code paths Optimize runs per
-// node.
+// TestInstrumentationZeroAllocWhenOff is the fast-path guard, stated
+// over the merged hooks: with Options.Obs, Options.Trace and
+// Options.Profile all off, the per-batch and per-set reports and the
+// nil trace region must not allocate. AllocsPerRun compiles the same
+// code paths Optimize runs per node.
 func TestInstrumentationZeroAllocWhenOff(t *testing.T) {
 	d := &dp{opt: Options{}}
 	sols := []*Solution{{
@@ -185,15 +197,12 @@ func TestInstrumentationZeroAllocWhenOff(t *testing.T) {
 		A: pwl.Linear(1, 2), D: pwl.NegInf(), Dom: pwl.Full(),
 	}}
 	if n := testing.AllocsPerRun(1000, func() {
-		d.note(sols)
-		d.noteSetSize(1, len(sols))
-		rg := d.tr.Begin(nodeEventName(topo.Terminal), "core")
-		rg.End(trace.I("node", 1), trace.I("set", 1), trace.I("segs", 1))
-		d.ins.maxSet.SetMax(3)
-		d.ins.segs.ObserveInt(2)
-		d.ins.solutions.Add(1)
+		d.built(sols, 0, ClassJoin, 1)
+		d.formed(1, len(sols))
+		d.noteNode(1, sols, d.tr.Begin(nodeEventName(topo.Terminal), "core"))
+		d.ins.preSize.ObserveInt(2)
 	}); n != 0 {
-		t.Errorf("nil-recorder instrumentation allocates %.2f per node, want 0", n)
+		t.Errorf("uninstrumented hooks allocate %.2f per node, want 0", n)
 	}
 }
 
@@ -207,9 +216,8 @@ func BenchmarkInstrumentationOff(b *testing.B) {
 	}}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		d.note(sols)
-		d.noteSetSize(1, len(sols))
-		rg := d.tr.Begin(nodeEventName(topo.Terminal), "core")
-		rg.End(trace.I("node", i), trace.I("set", 1), trace.I("segs", 1))
+		d.built(sols, 0, ClassJoin, 1)
+		d.formed(1, len(sols))
+		d.noteNode(1, sols, d.tr.Begin(nodeEventName(topo.Terminal), "core"))
 	}
 }

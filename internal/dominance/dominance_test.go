@@ -3,8 +3,6 @@ package dominance
 import (
 	"math/rand"
 	"testing"
-
-	"msrnet/internal/obs"
 )
 
 func randPts(r *rand.Rand, n, d int, dupProb float64) []Point {
@@ -170,44 +168,5 @@ func BenchmarkMinimaNaive3D(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		MinimaNaive(pts, 0)
-	}
-}
-
-// TestObserverMetrics checks the instrumentation hook: recursion depth,
-// small-case fallbacks and call counts must be recorded when an observer
-// is installed, and removing it must stop recording.
-func TestObserverMetrics(t *testing.T) {
-	reg := obs.New()
-	SetObserver(reg)
-	defer SetObserver(nil)
-
-	r := rand.New(rand.NewSource(17))
-	pts := randPts(r, 500, 3, 0)
-	Minima3D(pts, 0)
-	snap := reg.Snapshot()
-	if snap.Counters["dominance/calls"] == 0 {
-		t.Error("calls counter not recorded")
-	}
-	if snap.Counters["dominance/small_case_fallbacks"] == 0 {
-		t.Error("small-case fallbacks not recorded")
-	}
-	// 500 points halving to ≤8 needs at least ceil(log2(500/8)) levels
-	// below the root.
-	if got := snap.Gauges["dominance/max_depth"]; got < 6 {
-		t.Errorf("max depth = %d, want ≥ 6", got)
-	}
-
-	// KD path (4-D) records too.
-	pts4 := randPts(r, 300, 4, 0)
-	MinimaKD(pts4, 0)
-	if got := reg.Snapshot().Counters["dominance/calls"]; got < 2 {
-		t.Errorf("calls after KD = %d, want ≥ 2", got)
-	}
-
-	SetObserver(nil)
-	before := reg.Snapshot().Counters["dominance/calls"]
-	Minima3D(pts, 0)
-	if got := reg.Snapshot().Counters["dominance/calls"]; got != before {
-		t.Errorf("observer removal ignored: %d → %d", before, got)
 	}
 }

@@ -8,10 +8,10 @@ import (
 	"msrnet/internal/topo"
 )
 
-// Package-level profiling sink, modeled on dominance.SetObserver: the
-// studies in this package call core.Optimize from many places (and,
-// under Table2Parallel, from many goroutines), so per-call plumbing of
-// a profile collector would touch every study signature. Instead the
+// Package-level profiling sink: the studies in this package call
+// core.Optimize from many places (and, under Table2Parallel, from many
+// goroutines), so per-call plumbing of a profile collector would touch
+// every study signature. Instead the
 // CLI opts in once (EnableProfiling), every solve runs with
 // Options.Profile, and the per-run lifecycle profiles merge into one
 // session aggregate the CLI collects at exit. Merging is commutative,

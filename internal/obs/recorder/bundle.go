@@ -3,6 +3,7 @@ package recorder
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime/pprof"
@@ -129,6 +130,10 @@ func (f *FlightRecorder) writeBundle(now time.Time, seq int64, reason, detail st
 	if err := writeJSONFile(filepath.Join(dir, fileManifest), man); err != nil {
 		return "", fmt.Errorf("recorder: writing manifest: %w", err)
 	}
+	// The manifest is the commit point: make its directory entry durable.
+	if err := syncDir(dir); err != nil {
+		return "", fmt.Errorf("recorder: syncing bundle dir: %w", err)
+	}
 	return dir, nil
 }
 
@@ -178,30 +183,59 @@ func sanitize(s string) string {
 }
 
 func writeJSONFile(path string, v any) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return writeFileAtomic(path, func(w io.Writer) error {
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		return enc.Encode(v)
+	})
 }
 
 // writeGoroutines dumps every goroutine's full stack (pprof debug=2).
 func writeGoroutines(path string) error {
-	f, err := os.Create(path)
+	return writeFileAtomic(path, func(w io.Writer) error {
+		return pprof.Lookup("goroutine").WriteTo(w, 2)
+	})
+}
+
+// writeFileAtomic makes path appear complete or not at all: write fills
+// a temp file in the same directory, which is fsynced and renamed over
+// path. On any error the temp file is removed and path is untouched, so
+// a crash or a failed encode never leaves a truncated bundle file —
+// above all not an empty manifest.json, the bundle's commit point.
+func writeFileAtomic(path string, write func(io.Writer) error) (err error) {
+	f, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp*")
 	if err != nil {
 		return err
 	}
-	if err := pprof.Lookup("goroutine").WriteTo(f, 2); err != nil {
-		f.Close()
+	defer func() {
+		if err != nil {
+			f.Close()
+			os.Remove(f.Name())
+		}
+	}()
+	if err = write(f); err != nil {
 		return err
 	}
-	return f.Close()
+	if err = f.Chmod(0o644); err != nil {
+		return err
+	}
+	if err = f.Sync(); err != nil {
+		return err
+	}
+	if err = f.Close(); err != nil {
+		return err
+	}
+	return os.Rename(f.Name(), path)
+}
+
+// syncDir fsyncs a directory, making the renames into it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
 }
 
 // writeHeap dumps the binary heap profile (pprof-loadable).

@@ -359,7 +359,8 @@ func eventHasTrace(ev Event, traceID string) bool {
 
 // writeEvent renders one event. All events share pid/tid 1: regions are
 // self-contained 'X' slices, so no begin/end pairing across tracks is
-// needed; parallel-mode slices simply interleave on the single track.
+// needed; slices of concurrent jobs sharing the ring simply interleave
+// on the single track.
 func writeEvent(bw *bufio.Writer, ev Event) error {
 	bw.WriteString(`{"name":`)
 	bw.WriteString(quote(ev.Name))

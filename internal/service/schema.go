@@ -66,10 +66,8 @@ type JobOptions struct {
 	WireWidths []float64 `json:"wire_widths,omitempty"`
 	// IncludeSelf counts u==v source/sink pairs in the ARD.
 	IncludeSelf bool `json:"include_self,omitempty"`
-	// Parallel evaluates independent subtrees of this one net
-	// concurrently — intra-net parallelism, composing with (and
-	// independent of) the daemon's worker-pool parallelism across jobs.
-	Parallel bool `json:"parallel,omitempty"`
+	// The retired "parallel" option is still accepted and ignored: the
+	// decoder skips unknown fields, and the DP is serial.
 }
 
 // Response is the body of a successful POST /v1/jobs: one result per
@@ -253,8 +251,7 @@ func (j *Job) label(i int) string {
 // the result. Two jobs collide exactly when they are guaranteed to
 // produce identical results — so defaults are normalized ("" and
 // "repeaters" collide) but WireWidths order is preserved (option order
-// can break ties in the DP), and Parallel is excluded (serial and
-// parallel runs are identical by construction).
+// can break ties in the DP).
 func (j *Job) cacheKey(netKey string) string {
 	var b strings.Builder
 	b.WriteString(netKey)

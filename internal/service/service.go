@@ -769,14 +769,13 @@ func (d *Daemon) exec(t *task) Result {
 	}
 
 	if j.Mode == "msri" || j.Mode == "both" {
-		// Each job builds its own Options value; only the Recorder is
-		// shared across workers, and the Registry is safe for concurrent
-		// use (see TestOptionsCopiesAreGoroutineSafe).
+		// Each job builds its own Options value; only the registry and
+		// tracer are shared across workers, and both are safe for
+		// concurrent use (see TestOptionsCopiesAreGoroutineSafe).
 		opt := core.Options{
 			IncludeSelf: j.Options.IncludeSelf,
-			Parallel:    j.Options.Parallel,
 			WireWidths:  append([]float64(nil), j.Options.WireWidths...),
-			Obs:         asRecorder(d.reg),
+			Obs:         d.reg,
 			Trace:       d.cfg.Tracer,
 			TraceArgs:   targs,
 			Profile:     t.profile,
@@ -913,15 +912,6 @@ func termName(tr *topo.Tree, id int) string {
 		return ""
 	}
 	return tr.Node(id).Term.Name
-}
-
-// asRecorder converts a possibly-nil *Registry into a Recorder without
-// the typed-nil interface trap.
-func asRecorder(reg *obs.Registry) obs.Recorder {
-	if reg == nil {
-		return nil
-	}
-	return reg
 }
 
 // StartDrain begins the graceful-shutdown handshake without stopping

@@ -19,6 +19,7 @@ import (
 	"msrnet/internal/netgen"
 	"msrnet/internal/netio"
 	"msrnet/internal/obs"
+	"msrnet/internal/obs/trace"
 )
 
 func quietLogger() *slog.Logger { return slog.New(slog.NewTextHandler(io.Discard, nil)) }
@@ -329,15 +330,57 @@ func TestCacheKeyDistinguishesOptions(t *testing.T) {
 	}
 }
 
+// TestRetiredParallelOptionIgnored: the removed "parallel" job option
+// stays accepted on the wire as a no-op. A request carrying it gets a
+// 200 with the result bytes of the request without it, and the two
+// share one cache entry.
+func TestRetiredParallelOptionIgnored(t *testing.T) {
+	plain, err := json.Marshal(oneJobRequest(Job{ID: "p", Mode: "both", Net: testNetFile(t, 3, 6)}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var req map[string]any
+	if err := json.Unmarshal(plain, &req); err != nil {
+		t.Fatal(err)
+	}
+	req["jobs"].([]any)[0].(map[string]any)["options"] = map[string]any{"parallel": true}
+	withParallel, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func(d *Daemon, body []byte) []byte {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		d.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("status %d, want 200; body %s", rec.Code, rec.Body)
+		}
+		return rec.Body.Bytes()
+	}
+	d := newTestDaemon(t, Config{Workers: 1, Reg: obs.New(), CacheSize: 8})
+	got := post(d, withParallel)
+	want := post(newTestDaemon(t, Config{Workers: 1, Reg: obs.New(), CacheSize: 8}), plain)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("\"parallel\" changed the response:\n%s\nvs\n%s", got, want)
+	}
+	var resp Response
+	if err := json.Unmarshal(post(d, plain), &resp); err != nil {
+		t.Fatal(err)
+	}
+	if r := resp.Results[0]; r.Status != StatusOK || !r.Cached {
+		t.Fatalf("plain request after the \"parallel\" one: %+v, want an ok cache hit", r)
+	}
+}
+
 // TestOptionsCopiesAreGoroutineSafe verifies the contract the daemon's
-// workers rely on (and that msri -parallel documents): copies of one
-// core.Options value, sharing a Recorder and a WireWidths slice, can
-// drive concurrent Optimize runs and reproduce the serial results
-// exactly. Run under -race this also proves the copies introduce no
-// write sharing.
+// workers rely on: copies of one core.Options value, sharing a registry,
+// a ring tracer and a WireWidths slice, can drive concurrent Optimize
+// runs and reproduce the serial results exactly. The DP itself is
+// serial, so this — run under -race — covers the only concurrency left
+// around it and proves the copies introduce no write sharing.
 func TestOptionsCopiesAreGoroutineSafe(t *testing.T) {
 	reg := obs.New()
-	base := core.Options{Repeaters: true, Parallel: true, WireWidths: nil, Obs: reg, Pruner: core.PruneDivide}
+	base := core.Options{Repeaters: true, WireWidths: nil, Obs: reg, Trace: trace.New(1 << 10), Pruner: core.PruneDivide}
 
 	type outcome struct {
 		cost, ard float64
