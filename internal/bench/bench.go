@@ -16,11 +16,13 @@ package bench
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"time"
 
 	"msrnet/internal/ard"
+	"msrnet/internal/atomicfile"
 	"msrnet/internal/buslib"
 	"msrnet/internal/core"
 	"msrnet/internal/netgen"
@@ -375,19 +377,17 @@ func WasteRegressions(base, cur Report, slackPerMille int64) ([]Regression, erro
 	return regs, nil
 }
 
-// WriteFile writes the report as indented JSON.
+// WriteFile atomically writes the report as indented JSON.
 func (r Report) WriteFile(path string) error {
-	f, err := os.Create(path)
+	err := atomicfile.Write(path, func(w io.Writer) error {
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		return enc.Encode(r)
+	})
 	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(r); err != nil {
-		f.Close()
 		return fmt.Errorf("bench: writing %s: %w", path, err)
 	}
-	return f.Close()
+	return nil
 }
 
 // Load reads a report and validates its schema.

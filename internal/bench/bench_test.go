@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"math"
+	"os"
 	"path/filepath"
 	"testing"
 )
@@ -205,5 +207,23 @@ func TestCompareDetectsRegressions(t *testing.T) {
 	}
 	if _, err := Compare(Report{Schema: "other/v9", Suite: "quick"}, cur, 0.25, 0); err == nil {
 		t.Error("schema mismatch not rejected")
+	}
+}
+
+// TestReportWriteFileAtomic: a report whose encoding fails leaves
+// neither the target nor a temp file — the artifact is written through
+// the atomic helper, never created empty and then filled.
+func TestReportWriteFileAtomic(t *testing.T) {
+	dir := t.TempDir()
+	bad := Report{Schema: Schema, Workloads: []Workload{{Name: "w", WallSeconds: math.NaN()}}}
+	if err := bad.WriteFile(filepath.Join(dir, "report.json")); err == nil {
+		t.Fatal("encoding a NaN wall time succeeded")
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		t.Errorf("failed write left %s behind", e.Name())
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"os"
 	"sort"
 
+	"msrnet/internal/atomicfile"
 	"msrnet/internal/buslib"
 	"msrnet/internal/geom"
 	"msrnet/internal/rctree"
@@ -168,14 +169,11 @@ func Read(r io.Reader) (NetFile, error) {
 	return f, nil
 }
 
-// Save writes the net to a file path.
+// Save atomically writes the net to a file path.
 func Save(path, name string, tr *topo.Tree, tech buslib.Tech) error {
-	fh, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer fh.Close()
-	return Write(fh, Encode(name, tr, tech))
+	return atomicfile.Write(path, func(w io.Writer) error {
+		return Write(w, Encode(name, tr, tech))
+	})
 }
 
 // Load reads a net from a file path.

@@ -8,6 +8,7 @@ import (
 	"log/slog"
 	"net/http"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"msrnet/internal/obs"
@@ -187,12 +188,17 @@ func TestServeEndpoints(t *testing.T) {
 	}
 }
 
+// idemRuns numbers TestPublishExpvarIdempotent's runs: expvar names are
+// process-global, so each repeat under -count needs a fresh name.
+var idemRuns atomic.Int64
+
 // TestPublishExpvarIdempotent: re-publishing the same name must refuse
 // rather than panic (expvar's registry is process-global).
 func TestPublishExpvarIdempotent(t *testing.T) {
 	reg := obs.New()
-	first := PublishExpvar("msrnet-test-idem", reg)
-	second := PublishExpvar("msrnet-test-idem", reg)
+	name := fmt.Sprintf("msrnet-test-idem-%d", idemRuns.Add(1))
+	first := PublishExpvar(name, reg)
+	second := PublishExpvar(name, reg)
 	if !first || second {
 		t.Errorf("publish results = %v, %v; want true, false", first, second)
 	}

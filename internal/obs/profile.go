@@ -5,6 +5,8 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+
+	"msrnet/internal/atomicfile"
 )
 
 // StartCPUProfile begins a CPU profile into path and returns the stop
@@ -28,31 +30,22 @@ func StartCPUProfile(path string) (stop func(), err error) {
 	}, nil
 }
 
-// WriteMemProfile writes a heap profile to path (after a GC, so the
-// numbers reflect live memory). Empty path is a no-op.
+// WriteMemProfile atomically writes a heap profile to path (after a GC,
+// so the numbers reflect live memory). Empty path is a no-op.
 func WriteMemProfile(path string) error {
 	if path == "" {
 		return nil
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
 	runtime.GC()
-	return pprof.WriteHeapProfile(f)
+	return atomicfile.Write(path, pprof.WriteHeapProfile)
 }
 
-// WriteMetricsFile dumps the registry snapshot as indented JSON to path.
-// Empty path is a no-op; a nil registry writes an empty snapshot.
+// WriteMetricsFile atomically dumps the registry snapshot as indented
+// JSON to path. Empty path is a no-op; a nil registry writes an empty
+// snapshot.
 func (r *Registry) WriteMetricsFile(path string) error {
 	if path == "" {
 		return nil
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return r.Snapshot().WriteJSON(f)
+	return atomicfile.Write(path, r.Snapshot().WriteJSON)
 }

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"time"
 
+	"msrnet/internal/atomicfile"
 	"msrnet/internal/buildinfo"
 	"msrnet/internal/obs"
 	"msrnet/internal/obs/spans"
@@ -127,12 +128,10 @@ func (f *FlightRecorder) writeBundle(now time.Time, seq int64, reason, detail st
 			return "", err
 		}
 	}
+	// The manifest is written last: its durable rename is the bundle's
+	// commit point.
 	if err := writeJSONFile(filepath.Join(dir, fileManifest), man); err != nil {
 		return "", fmt.Errorf("recorder: writing manifest: %w", err)
-	}
-	// The manifest is the commit point: make its directory entry durable.
-	if err := syncDir(dir); err != nil {
-		return "", fmt.Errorf("recorder: syncing bundle dir: %w", err)
 	}
 	return dir, nil
 }
@@ -183,7 +182,7 @@ func sanitize(s string) string {
 }
 
 func writeJSONFile(path string, v any) error {
-	return writeFileAtomic(path, func(w io.Writer) error {
+	return atomicfile.Write(path, func(w io.Writer) error {
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		return enc.Encode(v)
@@ -192,50 +191,9 @@ func writeJSONFile(path string, v any) error {
 
 // writeGoroutines dumps every goroutine's full stack (pprof debug=2).
 func writeGoroutines(path string) error {
-	return writeFileAtomic(path, func(w io.Writer) error {
+	return atomicfile.Write(path, func(w io.Writer) error {
 		return pprof.Lookup("goroutine").WriteTo(w, 2)
 	})
-}
-
-// writeFileAtomic makes path appear complete or not at all: write fills
-// a temp file in the same directory, which is fsynced and renamed over
-// path. On any error the temp file is removed and path is untouched, so
-// a crash or a failed encode never leaves a truncated bundle file —
-// above all not an empty manifest.json, the bundle's commit point.
-func writeFileAtomic(path string, write func(io.Writer) error) (err error) {
-	f, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if err != nil {
-			f.Close()
-			os.Remove(f.Name())
-		}
-	}()
-	if err = write(f); err != nil {
-		return err
-	}
-	if err = f.Chmod(0o644); err != nil {
-		return err
-	}
-	if err = f.Sync(); err != nil {
-		return err
-	}
-	if err = f.Close(); err != nil {
-		return err
-	}
-	return os.Rename(f.Name(), path)
-}
-
-// syncDir fsyncs a directory, making the renames into it durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
 }
 
 // writeHeap dumps the binary heap profile (pprof-loadable).

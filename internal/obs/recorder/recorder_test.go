@@ -351,38 +351,3 @@ func TestWriteReport(t *testing.T) {
 		}
 	}
 }
-
-// TestWriteJSONFileAtomic: a bundle file appears complete or not at
-// all. An encode that fails must leave nothing at the target path and
-// no temp file behind, and must not disturb an earlier version.
-func TestWriteJSONFileAtomic(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, fileManifest)
-	if err := writeJSONFile(path, map[string]any{"bad": make(chan int)}); err == nil {
-		t.Fatal("encoding a channel succeeded")
-	}
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Fatalf("failed write left %s at the target path (stat: %v)", fileManifest, err)
-	}
-	if err := writeJSONFile(path, Manifest{Schema: BundleSchema}); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeJSONFile(path, make(chan int)); err == nil {
-		t.Fatal("encoding a channel succeeded")
-	}
-	var m Manifest
-	if err := readJSONFile(path, &m); err != nil || m.Schema != BundleSchema {
-		t.Fatalf("failed overwrite disturbed the earlier manifest: %+v, %v", m, err)
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 {
-		names := make([]string, len(entries))
-		for i, e := range entries {
-			names[i] = e.Name()
-		}
-		t.Errorf("directory holds %v, want only %s", names, fileManifest)
-	}
-}

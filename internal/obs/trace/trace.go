@@ -26,10 +26,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"strconv"
 	"sync"
 	"time"
+
+	"msrnet/internal/atomicfile"
 )
 
 // TraceEventSchema identifies the export format for downstream tooling.
@@ -413,20 +414,15 @@ func quote(s string) string {
 	return string(b)
 }
 
-// WriteFile dumps the trace to path. Empty path is a no-op, and a nil
-// tracer writes a valid empty trace, matching the obs profile helpers
-// so commands can call it unconditionally at exit.
+// WriteFile atomically dumps the trace to path. Empty path is a no-op,
+// and a nil tracer writes a valid empty trace, matching the obs profile
+// helpers so commands can call it unconditionally at exit.
 func (t *Tracer) WriteFile(path string) error {
 	if path == "" {
 		return nil
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := t.WriteJSON(f); err != nil {
-		f.Close()
+	if err := atomicfile.Write(path, t.WriteJSON); err != nil {
 		return fmt.Errorf("trace: writing %s: %w", path, err)
 	}
-	return f.Close()
+	return nil
 }

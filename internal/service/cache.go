@@ -88,6 +88,15 @@ func (c *resultCache) Put(key string, res Result) {
 	c.size.Set(int64(c.ll.Len()))
 }
 
+// cacheable strips a result's per-request decoration — the client's
+// label, the cached flag and the explain report — leaving the bytes
+// every cache entry holds: the local put after a solve, a peer's shard
+// put, and the warm-up from WAL-restored results.
+func cacheable(res Result) Result {
+	res.ID, res.Cached, res.Explain = "", false, nil
+	return res
+}
+
 // Len reports the current entry count.
 func (c *resultCache) Len() int {
 	c.mu.Lock()

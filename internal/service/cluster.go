@@ -48,10 +48,7 @@ func (cl clusterLocal) CachePut(key string, val []byte) {
 	if res.Status != StatusOK || res.Degraded {
 		return
 	}
-	res.ID = ""
-	res.Cached = false
-	res.Explain = nil
-	cl.d.cache.Put(key, res)
+	cl.d.cache.Put(key, cacheable(res))
 }
 
 func (cl clusterLocal) Submit(ctx context.Context, body []byte, meta cluster.ForwardMeta) ([]byte, int) {
@@ -252,17 +249,9 @@ func (d *Daemon) tryForward(ctx context.Context, req *Request, pending []*task, 
 	d.forwarded.Add(int64(len(pending)))
 	for i, t := range pending {
 		t.cancel()
-		e := t.explain
-		d.table.detach(e.JobID)
-		e.State = JobDone
-		e.Outcome = OutcomeForwarded
+		e := d.table.detach(t.jid)
 		e.ServedBy = string(peer.ID)
-		d.table.record(e)
-		if lw, ok := d.lat[OutcomeForwarded]; ok {
-			lw.queue.Observe(0)
-			lw.solve.Observe(0)
-			lw.e2e.Observe(0)
-		}
+		d.retire(e, OutcomeForwarded)
 		results[t.idx] = resp.Results[i]
 	}
 	d.log.InfoContext(ctx, "batch forwarded", "peer", peer.ID, "jobs", len(pending),

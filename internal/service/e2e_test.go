@@ -246,10 +246,10 @@ func promCounter(t *testing.T, text, name string) int64 {
 func TestShutdownDrainsQueuedJobs(t *testing.T) {
 	reg := obs.New()
 	d := New(Config{Workers: 1, QueueDepth: 8, Reg: reg, Logger: quietLogger()})
-	gate := make(chan struct{})
+	started, gate := make(chan struct{}), make(chan struct{})
 	var once sync.Once
 	d.execHook = func(ctx context.Context, tk *task) Result {
-		once.Do(func() { <-gate }) // stall only the first job so the rest sit queued
+		once.Do(func() { close(started); <-gate }) // stall only the first job so the rest sit queued
 		return Result{ID: tk.label, Status: StatusOK, NetKey: tk.netKey}
 	}
 
@@ -269,9 +269,10 @@ func TestShutdownDrainsQueuedJobs(t *testing.T) {
 			results[i] = resp
 		}(i)
 	}
-	waitFor(t, func() bool {
-		return reg.Counter("svc/jobs_submitted").Value() == n
-	})
+	// Every job is admitted — one on the worker, the rest queued —
+	// before Close stops admission.
+	<-started
+	waitFor(t, func() bool { return queuedTasks(d) == n-1 })
 
 	closed := make(chan error, 1)
 	go func() {

@@ -171,26 +171,16 @@ func solveExplain(s core.Stats) *SolveExplain {
 // serialize a report a worker is still writing.
 type jobTable struct {
 	mu     sync.Mutex
-	cap    int
-	done   []*Explain // circular, next is the oldest slot
+	done   [explainRing]*Explain // circular; next is the oldest slot, nil until first filled
 	next   int
-	filled bool
 	active map[string]*Explain
 }
 
-// defaultExplainRing bounds the finished-report ring when the config
-// does not say otherwise.
-const defaultExplainRing = 256
+// explainRing bounds the finished-report ring behind GET /debug/jobs.
+const explainRing = 256
 
-func newJobTable(capacity int) *jobTable {
-	if capacity <= 0 {
-		capacity = defaultExplainRing
-	}
-	return &jobTable{
-		cap:    capacity,
-		done:   make([]*Explain, capacity),
-		active: map[string]*Explain{},
-	}
+func newJobTable() *jobTable {
+	return &jobTable{active: map[string]*Explain{}}
 }
 
 // start registers a queued job.
@@ -209,15 +199,17 @@ func (t *jobTable) setRunning(id string) {
 	t.mu.Unlock()
 }
 
-// detach takes a live job out of the active table, returning sole
-// ownership of its report to the caller: once detached, no List/Get
-// reader can reach the pointer, so the finish path may fill the
-// completion fields without racing concurrent readers. Retire the
-// finished report with record.
-func (t *jobTable) detach(id string) {
+// detach takes a live job out of the active table and returns its
+// report, handing sole ownership to the caller: once detached, no
+// List/Get reader can reach the pointer, so the caller may fill the
+// completion fields without racing concurrent readers before it
+// retires the report (Daemon.retire).
+func (t *jobTable) detach(id string) *Explain {
 	t.mu.Lock()
+	e := t.active[id]
 	delete(t.active, id)
 	t.mu.Unlock()
+	return e
 }
 
 // record adds a completed report to the finished ring — jobs that
@@ -225,16 +217,20 @@ func (t *jobTable) detach(id string) {
 // are filled. Reports are immutable after record.
 func (t *jobTable) record(e *Explain) {
 	t.mu.Lock()
-	t.push(e)
+	t.done[t.next] = e
+	t.next = (t.next + 1) % explainRing
 	t.mu.Unlock()
 }
 
-func (t *jobTable) push(e *Explain) {
-	t.done[t.next] = e
-	t.next++
-	if t.next == t.cap {
-		t.next, t.filled = 0, true
+// recentLocked returns the finished ring newest first.
+func (t *jobTable) recentLocked() []*Explain {
+	var out []*Explain
+	for i := 1; i <= explainRing; i++ {
+		if e := t.done[(t.next-i+explainRing)%explainRing]; e != nil {
+			out = append(out, e)
+		}
 	}
+	return out
 }
 
 // List returns the live jobs (by sequence) and the finished ring
@@ -246,15 +242,8 @@ func (t *jobTable) List() (active, recent []Explain) {
 		active = append(active, *e)
 	}
 	sort.Slice(active, func(i, j int) bool { return active[i].Seq < active[j].Seq })
-	n := t.next
-	if t.filled {
-		n = t.cap
-	}
-	for i := 0; i < n; i++ {
-		idx := (t.next - 1 - i + t.cap) % t.cap
-		if t.done[idx] != nil {
-			recent = append(recent, *t.done[idx])
-		}
+	for _, e := range t.recentLocked() {
+		recent = append(recent, *e)
 	}
 	return active, recent
 }
@@ -268,17 +257,8 @@ func (t *jobTable) Get(id string) (Explain, bool) {
 	if e, ok := t.active[id]; ok {
 		return *e, true
 	}
-	n := t.next
-	if t.filled {
-		n = t.cap
-	}
 	var byTrace *Explain
-	for i := 0; i < n; i++ {
-		idx := (t.next - 1 - i + t.cap) % t.cap
-		e := t.done[idx]
-		if e == nil {
-			continue
-		}
+	for _, e := range t.recentLocked() {
 		if e.JobID == id {
 			return *e, true
 		}

@@ -62,8 +62,7 @@ type Config struct {
 	// injection points (svc/decode, svc/queue, svc/worker,
 	// svc/cache/get, svc/cache/put). Nil in production.
 	Faults *faultinject.Injector
-	// Reg receives the daemon's metrics and per-job phase spans; may be
-	// nil.
+	// Reg receives the daemon's metrics; may be nil.
 	Reg *obs.Registry
 	// Logger receives job-level logs; slog.Default when nil. Wrap the
 	// handler with reqctx.Handler so every line carries the request's
@@ -74,14 +73,6 @@ type Config struct {
 	// and job id so one shared ring stays separable per job in a
 	// Perfetto view. Served at GET /debug/trace.
 	Tracer *trace.Tracer
-	// ExplainRing bounds the finished msrnet-explain/v1 reports kept for
-	// GET /debug/jobs; defaults to 256.
-	ExplainRing int
-	// SLOWindow/SLOInterval shape the sliding-window latency quantiles
-	// (svc/latency/{queue,solve,e2e}/<outcome>); they default to
-	// obs.DefaultWindow / obs.DefaultInterval.
-	SLOWindow   time.Duration
-	SLOInterval time.Duration
 	// Recorder, when non-nil, is the always-on flight recorder: the
 	// daemon feeds it the live jobs view, fires an automatic postmortem
 	// on recovered worker panics, and serves it at POST /debug/dump and
@@ -245,7 +236,7 @@ func New(cfg Config) *Daemon {
 		reg:        reg,
 		log:        cfg.Logger,
 		cache:      newResultCache(cfg.CacheSize, reg),
-		table:      newJobTable(cfg.ExplainRing),
+		table:      newJobTable(),
 		rec:        newRecoveredTable(),
 		free:       cfg.QueueDepth,
 		submitted:  reg.Counter("svc/jobs_submitted"),
@@ -264,14 +255,13 @@ func New(cfg Config) *Daemon {
 		jobDur:     reg.Histogram("svc/job_ms", LatencyBounds),
 	}
 	d.qcond = sync.NewCond(&d.mu)
-	win, iv := d.sloWindows()
-	d.initTenants(cfg.Tenants, win, iv)
+	d.initTenants(cfg.Tenants)
 	d.lat = make(map[string]latWindows, len(outcomeClasses))
 	for _, class := range outcomeClasses {
 		d.lat[class] = latWindows{
-			queue: reg.Window("svc/latency/queue/"+class, win, iv),
-			solve: reg.Window("svc/latency/solve/"+class, win, iv),
-			e2e:   reg.Window("svc/latency/e2e/"+class, win, iv),
+			queue: reg.Window("svc/latency/queue/"+class, 0, 0),
+			solve: reg.Window("svc/latency/solve/"+class, 0, 0),
+			e2e:   reg.Window("svc/latency/e2e/"+class, 0, 0),
 		}
 	}
 	// Postmortem bundles carry the live jobs view so an incident report
@@ -337,8 +327,6 @@ func decodeErr(label string, err error) *SubmitError {
 // admitted half.
 func (d *Daemon) Submit(ctx context.Context, req *Request) (*Response, *SubmitError) {
 	submitStart := time.Now()
-	sub := d.reg.StartSpan("svc/submit")
-	defer sub.End()
 	// Root span of this process's share of the trace. A forwarded batch
 	// carries the sender's hop span reference, so this root links under
 	// it and the stitched trace shows both sides of the hop.
@@ -364,27 +352,22 @@ func (d *Daemon) Submit(ctx context.Context, req *Request) (*Response, *SubmitEr
 	traceID := reqctx.TraceID(ctx)
 	results := make([]Result, len(req.Jobs))
 	var pending []*task
-	decSpan := d.reg.StartSpan("svc/submit/decode")
 	_, dec := d.cfg.Spans.Start(ctx, "decode")
 	defer dec.End()
 	for i := range req.Jobs {
 		j := &req.Jobs[i]
 		if err := d.cfg.Faults.Fire(ctx, "svc/decode"); err != nil {
-			decSpan.End()
 			return nil, submitErr(http.StatusServiceUnavailable, ErrInternal, "decode: %v", err)
 		}
 		netKey, err := netio.ContentHash(j.Net)
 		if err != nil {
-			decSpan.End()
 			return nil, decodeErr(j.label(i), err)
 		}
 		tr, tech, err := netio.Decode(j.Net)
 		if err != nil {
-			decSpan.End()
 			return nil, decodeErr(j.label(i), err)
 		}
 		if len(tr.Sources()) == 0 || len(tr.Sinks()) == 0 {
-			decSpan.End()
 			return nil, submitErr(http.StatusBadRequest, ErrBadRequest,
 				"job %s: net needs at least one source and one sink", j.label(i))
 		}
@@ -393,11 +376,12 @@ func (d *Daemon) Submit(ctx context.Context, req *Request) (*Response, *SubmitEr
 		tn.submitted.Inc()
 		seq := d.seq.Add(1)
 		jid := fmt.Sprintf("j%d", seq)
-		// A profiled request bypasses the cache (not even a lookup, so
-		// hit/miss counters and LRU order stay honest): the lifecycle
-		// profile exists only on a fresh solve, and serving a cached
-		// result would silently return a report without one.
-		res, hit := d.lookupUnlessProfiled(ctx, key, req.Profile)
+		t := &task{job: j, idx: i, label: j.label(i), netKey: netKey, key: key, tr: tr, tech: tech,
+			traceID: traceID, jid: jid, seq: seq, want: req.Explain || req.Profile,
+			profile: req.Profile, tn: tn, slotted: true}
+		t.explain = newExplain(t)
+		d.stampCluster(t.explain, fmeta)
+		res, hit := d.cacheGet(ctx, key, req.Profile)
 		var shardOwner cluster.ID
 		if !hit && !req.Profile {
 			// Local miss: ask the net's home peer for its shard (single
@@ -405,18 +389,13 @@ func (d *Daemon) Submit(ctx context.Context, req *Request) (*Response, *SubmitEr
 			res, shardOwner, hit = d.shardLookup(ctx, netKey, key)
 		}
 		if hit {
-			res.ID = j.label(i)
-			res.Cached = true
-			e := d.newExplain(jid, seq, j, i, traceID, netKey)
-			e.Tenant = tn.cfg.Name
-			e.State = JobDone
-			e.Outcome = OutcomeOK
+			e := t.explain
 			e.Cached = true
-			d.stampCluster(e, fmeta)
 			if shardOwner != "" {
 				e.ServedBy = string(shardOwner)
 			}
-			d.table.record(e)
+			d.retire(e, OutcomeOK)
+			res.ID, res.Cached = t.label, true
 			if req.Explain {
 				res.Explain = e
 			}
@@ -424,17 +403,10 @@ func (d *Daemon) Submit(ctx context.Context, req *Request) (*Response, *SubmitEr
 			d.completed.Inc()
 			continue
 		}
-		t := &task{job: j, idx: i, label: j.label(i), netKey: netKey, key: key, tr: tr, tech: tech,
-			traceID: traceID, jid: jid, seq: seq, want: req.Explain || req.Profile,
-			profile: req.Profile, tn: tn, slotted: true, done: make(chan struct{})}
-		t.explain = d.newExplain(jid, seq, j, i, traceID, netKey)
-		t.explain.Tenant = tn.cfg.Name
-		d.stampCluster(t.explain, fmeta)
+		t.done = make(chan struct{})
 		t.ctx, t.cancel = d.jobContext(reqctx.WithJobID(ctx, jid))
 		pending = append(pending, t)
-		results[i] = Result{} // filled after completion
 	}
-	decSpan.End()
 	dec.End()
 
 	// Register the batch for introspection (GET /debug/jobs) before the
@@ -474,18 +446,10 @@ func (d *Daemon) Submit(ctx context.Context, req *Request) (*Response, *SubmitEr
 		ms := float64(time.Since(submitStart)) / float64(time.Millisecond)
 		for _, t := range pending {
 			t.cancel()
-			e := t.explain
-			d.table.detach(e.JobID)
-			e.State = JobDone
-			e.Outcome = OutcomeRejected
+			e := d.table.detach(t.jid)
 			e.Code = err.Code
 			e.TotalMs = ms
-			d.table.record(e)
-			if lw, ok := d.lat[OutcomeRejected]; ok {
-				lw.queue.Observe(0)
-				lw.solve.Observe(0)
-				lw.e2e.ObserveEx(ms, e.TraceID)
-			}
+			d.retire(e, OutcomeRejected)
 		}
 		return nil, err
 	}
@@ -513,18 +477,21 @@ func (d *Daemon) Submit(ctx context.Context, req *Request) (*Response, *SubmitEr
 	return &Response{Version: SchemaVersion, Results: results}, nil
 }
 
-// newExplain seeds the per-job report with its identity; timing and
-// solve shape are filled at completion.
-func (d *Daemon) newExplain(jid string, seq int64, j *Job, i int, traceID, netKey string) *Explain {
+// newExplain seeds a job's report with its identity — fresh, cache-hit
+// and WAL-replayed jobs alike; timing and solve shape are filled when
+// the job retires.
+func newExplain(t *task) *Explain {
 	return &Explain{
-		Schema:  ExplainSchema,
-		JobID:   jid,
-		Seq:     seq,
-		Label:   j.label(i),
-		TraceID: traceID,
-		NetKey:  netKey,
-		Mode:    j.Mode,
-		State:   JobQueued,
+		Schema:   ExplainSchema,
+		JobID:    t.jid,
+		Seq:      t.seq,
+		Label:    t.label,
+		TraceID:  t.traceID,
+		NetKey:   t.netKey,
+		Tenant:   t.tn.cfg.Name,
+		Mode:     t.job.Mode,
+		State:    JobQueued,
+		Replayed: t.replayed,
 	}
 }
 
@@ -539,17 +506,14 @@ func (d *Daemon) jobContext(ctx context.Context) (context.Context, context.Cance
 
 // cacheGet looks up key under the svc/cache/get injection point: an
 // injected fault degrades to a miss (the job recomputes) rather than
-// failing the request.
-// lookupUnlessProfiled consults the result cache, except for profiled
-// requests, which always recompute.
-func (d *Daemon) lookupUnlessProfiled(ctx context.Context, key string, profiled bool) (Result, bool) {
+// failing the request. A profiled request bypasses the cache (not even
+// a lookup, so hit/miss counters and LRU order stay honest): the
+// lifecycle profile exists only on a fresh solve, and serving a cached
+// result would silently return a report without one.
+func (d *Daemon) cacheGet(ctx context.Context, key string, profiled bool) (Result, bool) {
 	if profiled {
 		return Result{}, false
 	}
-	return d.cacheGet(ctx, key)
-}
-
-func (d *Daemon) cacheGet(ctx context.Context, key string) (Result, bool) {
 	_, sp := d.cfg.Spans.Start(ctx, "cache/get")
 	defer sp.End()
 	if err := d.cfg.Faults.Fire(ctx, "svc/cache/get"); err != nil {
@@ -583,7 +547,6 @@ func (d *Daemon) runTask(t *task) {
 	defer t.cancel()
 	d.table.setRunning(t.jid)
 	t.qspan.End() // queue wait is over: a worker has the task
-	span := d.reg.StartSpan("svc/job")
 	start := time.Now()
 
 	if err := t.ctx.Err(); err != nil {
@@ -634,7 +597,6 @@ func (d *Daemon) runTask(t *task) {
 		solveSpan.End()
 	}
 
-	span.End()
 	ms := float64(time.Since(start)) / float64(time.Millisecond)
 	d.jobDur.Observe(ms)
 	// Persist the outcome before anything can deliver it: a crash after
@@ -651,10 +613,7 @@ func (d *Daemon) runTask(t *task) {
 			// Cache the result without per-request decoration. An injected
 			// put fault drops the insert — the cache is an optimization,
 			// never a correctness dependency.
-			stored := t.res
-			stored.ID = ""
-			stored.Cached = false
-			stored.Explain = nil
+			stored := cacheable(t.res)
 			d.cache.Put(t.key, stored)
 			// Replicate to the net's home peer so any fleet member's next
 			// submission of this net hits in one hop. The local copy above
@@ -670,17 +629,13 @@ func (d *Daemon) runTask(t *task) {
 		"outcome", t.explain.Outcome, "queue_wait_ms", t.waitMs, "solve_ms", t.solveMs)
 }
 
-// finishJob completes the explain report, retires it to the finished
-// ring, observes the per-outcome SLO latency windows and — when the
-// request asked — attaches the report to the result. The report is
-// detached from the live table BEFORE its completion fields are
-// written: a concurrent List/Get (debug handlers, the flight
-// recorder's jobs capture) must never observe a half-finished report.
+// finishJob completes a worker-run job (ok, degraded, shed, error or
+// WAL-replayed): it fills the explain report's completion fields,
+// retires it, and — when the request asked — attaches it to the
+// result. A replayed job has no waiting request handler, so its result
+// lands in the /v1/recovered table here and its replay span closes.
 func (d *Daemon) finishJob(t *task) {
-	e := t.explain
-	d.table.detach(e.JobID)
-	e.State = JobDone
-	e.Outcome = outcomeOf(t.res)
+	e := d.table.detach(t.jid)
 	e.Code = t.res.Code
 	e.QueueWaitMs = t.waitMs
 	e.SolveMs = t.solveMs
@@ -697,21 +652,35 @@ func (d *Daemon) finishJob(t *task) {
 		}
 	}
 	e.Spans = d.cfg.Spans.Summarize(e.TraceID)
-	d.table.record(e)
+	d.retire(e, outcomeOf(t.res))
 	if t.want {
 		t.res.Explain = e
 	}
-	if lw, ok := d.lat[e.Outcome]; ok {
-		lw.queue.ObserveEx(e.QueueWaitMs, e.TraceID)
-		lw.solve.ObserveEx(e.SolveMs, e.TraceID)
-		lw.e2e.ObserveEx(e.TotalMs, e.TraceID)
+	t.tn.latE2E.Observe(e.TotalMs)
+	if t.res.Status == StatusOK {
+		t.tn.completed.Inc()
 	}
-	if t.tn != nil {
-		t.tn.latE2E.Observe(e.TotalMs)
-		if t.res.Status == StatusOK {
-			t.tn.completed.Inc()
-		}
+	if t.replayed {
+		t.rspan.End()
+		d.rec.complete(t.walUID, t.res)
 	}
+}
+
+// retire is the one exit of every job's report: the worker's finish,
+// an admission rejection, a forward to a peer, or a cache hit. It marks
+// the report done with its outcome, records it in the done ring (after
+// which it is immutable), and observes the outcome's latency windows —
+// except for a cache hit, which never queued or solved.
+func (d *Daemon) retire(e *Explain, outcome string) {
+	e.State, e.Outcome = JobDone, outcome
+	d.table.record(e)
+	if e.Cached {
+		return
+	}
+	lw := d.lat[outcome]
+	lw.queue.ObserveEx(e.QueueWaitMs, e.TraceID)
+	lw.solve.ObserveEx(e.SolveMs, e.TraceID)
+	lw.e2e.ObserveEx(e.TotalMs, e.TraceID)
 }
 
 // shouldShed reports whether the task's remaining deadline at dequeue
@@ -758,13 +727,11 @@ func (d *Daemon) exec(t *task) Result {
 	}
 
 	if j.Mode == "ard" || j.Mode == "both" {
-		span := d.reg.StartSpan("svc/job/ard")
 		_, ps := d.cfg.Spans.Start(t.sctx, "solve/ard")
 		net := rctree.NewNet(rt, t.tech, rctree.Assignment{})
 		r := ard.Compute(net, ard.Options{IncludeSelf: j.Options.IncludeSelf,
 			Trace: d.cfg.Tracer, TraceArgs: targs})
 		ps.End()
-		span.End()
 		res.ARD = &ARDResult{ARD: r.ARD, CritSrc: termName(t.tr, r.CritSrc), CritSink: termName(t.tr, r.CritSink)}
 	}
 
@@ -792,11 +759,9 @@ func (d *Daemon) exec(t *task) Result {
 		if j.pruner() == "naive" {
 			opt.Pruner = core.PruneNaive
 		}
-		span := d.reg.StartSpan("svc/job/optimize")
 		_, ps := d.cfg.Spans.Start(t.sctx, "solve/optimize")
 		out, deg, err := d.runOptimize(t, rt, opt)
 		ps.End()
-		span.End()
 		if err != nil {
 			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 				return d.failResult(t, ErrDeadlineExceeded, fmt.Sprintf("optimize: %v", err))
@@ -823,7 +788,6 @@ func (d *Daemon) exec(t *task) Result {
 			}
 			chosen = sol
 		}
-		encSpan := d.reg.StartSpan("svc/job/encode")
 		_, es := d.cfg.Spans.Start(t.sctx, "solve/encode")
 		opt2 := &OptResult{
 			Chosen: suitePoint(chosen),
@@ -834,7 +798,6 @@ func (d *Daemon) exec(t *task) Result {
 			opt2.Suite = append(opt2.Suite, suitePoint(s))
 		}
 		es.End()
-		encSpan.End()
 		if deg != nil {
 			res.Degraded = true
 			res.DegradedReason = deg.reason

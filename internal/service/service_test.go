@@ -424,6 +424,14 @@ func TestOptionsCopiesAreGoroutineSafe(t *testing.T) {
 	}
 }
 
+// queuedTasks reports how many admitted tasks wait in the scheduler for
+// a worker.
+func queuedTasks(d *Daemon) int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.queued
+}
+
 func waitFor(t *testing.T, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)

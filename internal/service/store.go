@@ -221,10 +221,7 @@ func (d *Daemon) Recover(rep *jobstore.Replay) (requeued, restored int) {
 			d.rec.add(&RecoveredJob{UID: e.UID, Tenant: e.Tenant, Label: e.Label,
 				TraceID: e.TraceID, NetKey: e.NetKey, State: "done", Result: &res})
 			if res.Status == StatusOK && !res.Degraded && e.Key != "" {
-				cached := res
-				cached.ID = ""
-				cached.Explain = nil
-				d.cache.Put(e.Key, cached)
+				d.cache.Put(e.Key, cacheable(res))
 			}
 			restored++
 			continue
@@ -244,13 +241,6 @@ func (d *Daemon) Recover(rep *jobstore.Replay) (requeued, restored int) {
 		d.rec.add(&RecoveredJob{UID: e.UID, Tenant: e.Tenant, Label: e.Label,
 			TraceID: e.TraceID, NetKey: e.NetKey, State: "pending", Resolved: e.Degraded})
 		d.table.start(t.explain)
-		// Nobody waits on a replayed task's done channel from a request
-		// handler; route the completion into the recovered table.
-		go func(uid string, t *task) {
-			<-t.done
-			t.rspan.End()
-			d.rec.complete(uid, t.res)
-		}(e.UID, t)
 		tasks = append(tasks, t)
 		requeued++
 	}
@@ -279,9 +269,7 @@ func (d *Daemon) replayTask(e *jobstore.Entry, tn *tenantState) (*task, error) {
 	t := &task{job: &job, label: e.Label, netKey: e.NetKey, key: e.Key, tr: tr, tech: tech,
 		traceID: e.TraceID, jid: jid, seq: seq, tn: tn, walUID: e.UID, replayed: true,
 		done: make(chan struct{})}
-	t.explain = &Explain{Schema: ExplainSchema, JobID: jid, Seq: seq, Label: e.Label,
-		TraceID: e.TraceID, NetKey: e.NetKey, Mode: job.Mode, State: JobQueued,
-		Tenant: tn.cfg.Name, Replayed: true}
+	t.explain = newExplain(t)
 	ctx := reqctx.WithJobID(context.Background(), jid)
 	if e.TraceID != "" {
 		ctx = reqctx.WithTraceID(ctx, e.TraceID)

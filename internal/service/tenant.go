@@ -125,7 +125,7 @@ type tenantState struct {
 }
 
 // newTenantState builds the runtime state for one configured tenant.
-func (d *Daemon) newTenantState(cfg TenantConfig, win, iv time.Duration) *tenantState {
+func (d *Daemon) newTenantState(cfg TenantConfig) *tenantState {
 	if cfg.Weight <= 0 {
 		// LoadTenants defaults this, but Config.Tenants can be built by
 		// hand; a zero weight would make the stride 1/w infinite.
@@ -139,7 +139,7 @@ func (d *Daemon) newTenantState(cfg TenantConfig, win, iv time.Duration) *tenant
 		submitted: d.reg.Counter("svc/tenant/" + name + "/jobs_submitted"),
 		rejected:  d.reg.Counter("svc/tenant/" + name + "/jobs_rejected"),
 		completed: d.reg.Counter("svc/tenant/" + name + "/jobs_completed"),
-		latE2E:    d.reg.Window("svc/tenant/"+name+"/latency/e2e", win, iv),
+		latE2E:    d.reg.Window("svc/tenant/"+name+"/latency/e2e", 0, 0),
 	}
 }
 
@@ -216,16 +216,16 @@ func (d *Daemon) tenantFor(ctx context.Context) (*tenantState, *SubmitError) {
 
 // initTenants builds the tenant table at New: the configured tenants,
 // or the implicit unlimited default when none are configured.
-func (d *Daemon) initTenants(cfgs []TenantConfig, win, iv time.Duration) {
+func (d *Daemon) initTenants(cfgs []TenantConfig) {
 	d.tenants = map[string]*tenantState{}
 	d.byKey = map[string]*tenantState{}
 	if len(cfgs) == 0 {
-		d.tenants[DefaultTenant] = d.newTenantState(TenantConfig{Name: DefaultTenant, Weight: 1}, win, iv)
+		d.tenants[DefaultTenant] = d.newTenantState(TenantConfig{Name: DefaultTenant, Weight: 1})
 		return
 	}
 	d.authRequired = true
 	for _, cfg := range cfgs {
-		ts := d.newTenantState(cfg, win, iv)
+		ts := d.newTenantState(cfg)
 		d.tenants[cfg.Name] = ts
 		d.byKey[cfg.APIKey] = ts
 	}
@@ -242,8 +242,7 @@ func (d *Daemon) tenantByName(name string) *tenantState {
 	defer d.mu.Unlock()
 	ts := d.tenants[name]
 	if ts == nil {
-		win, iv := d.sloWindows()
-		ts = d.newTenantState(TenantConfig{Name: name, Weight: 1}, win, iv)
+		ts = d.newTenantState(TenantConfig{Name: name, Weight: 1})
 		d.tenants[name] = ts
 	}
 	return ts
@@ -365,18 +364,6 @@ func (d *Daemon) next() *task {
 		d.queueDepth.Set(int64(d.cfg.QueueDepth - d.free))
 	}
 	return t
-}
-
-// sloWindows resolves the configured SLO window/interval defaults.
-func (d *Daemon) sloWindows() (time.Duration, time.Duration) {
-	win, iv := d.cfg.SLOWindow, d.cfg.SLOInterval
-	if win <= 0 {
-		win = obs.DefaultWindow
-	}
-	if iv <= 0 {
-		iv = obs.DefaultInterval
-	}
-	return win, iv
 }
 
 // tenantSnapshot is one tenant's runtime view in tenants.json of a

@@ -17,9 +17,11 @@ package solveprof
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 
+	"msrnet/internal/atomicfile"
 	"msrnet/internal/core"
 )
 
@@ -307,7 +309,7 @@ func (p *Profile) Encode() ([]byte, error) {
 	return append(b, '\n'), nil
 }
 
-// WriteFile validates and writes the artifact.
+// WriteFile validates and atomically writes the artifact.
 func (p *Profile) WriteFile(path string) error {
 	if err := p.Validate(); err != nil {
 		return err
@@ -316,7 +318,10 @@ func (p *Profile) WriteFile(path string) error {
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(path, b, 0o644)
+	return atomicfile.Write(path, func(w io.Writer) error {
+		_, err := w.Write(b)
+		return err
+	})
 }
 
 // Load reads and validates a msrnet-solveprof/v1 file.
