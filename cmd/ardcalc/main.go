@@ -44,19 +44,16 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	reg := run.Reg
 	defer func() {
 		if err := run.Close(); err != nil {
 			fatal(err)
 		}
 	}()
 
-	loadSpan := reg.StartSpan("ardcalc/load")
 	tr, tech, err := loadNet(*netPath)
 	if err != nil {
 		fatal(err)
 	}
-	loadSpan.End()
 	rt := tr.RootAt(tr.Terminals()[0])
 	net := rctree.NewNet(rt, tech, rctree.Assignment{})
 	res := ard.Compute(net, ard.Options{IncludeSelf: *self, Obs: run.Reg})
@@ -70,9 +67,7 @@ func main() {
 	fmt.Printf("critical pair: %s -> %s\n", name(res.CritSrc), name(res.CritSink))
 
 	if *check {
-		naiveSpan := reg.StartSpan("ardcalc/naive_check")
 		naive, _, _ := net.NaiveARD(*self)
-		naiveSpan.End()
 		diff := res.ARD - naive
 		fmt.Printf("naive ARD = %.6f ns (difference %.3g)\n", naive, diff)
 		if diff > 1e-9 || diff < -1e-9 {

@@ -1,22 +1,20 @@
 // Command benchreport is the perf-regression observatory: it runs the
 // fixed paper-derived workload suite (ARD characterization on §VI-style
 // random nets, MSRI dynamic-program sweeps), writes a schema-versioned
-// report with each workload's deterministic work counters and per-phase
-// span timings, and — given a baseline — exits non-zero if anything
-// regressed past the threshold.
+// report with each workload's deterministic work counters, and — given
+// a baseline — exits non-zero if anything regressed past the threshold.
 //
 // Usage:
 //
 //	benchreport                                  # quick suite -> BENCH_msrnet.json
-//	benchreport -suite full -repeats 5
+//	benchreport -suite full
 //	benchreport -baseline BENCH_msrnet.json -out /tmp/now.json
 //	benchreport -baseline BENCH_msrnet.json -threshold 0.25 -waste-threshold 5
 //
 // Comparison is on the DP's deterministic work counters (solutions
 // created, prune calls, set sizes…), which are machine-independent, so
-// a committed baseline stays meaningful on any runner. Wall-clock
-// comparison is opt-in via -time-threshold, for same-machine A/B runs.
-// The MSRI workloads additionally carry waste counters (dead-candidate
+// a committed baseline stays meaningful on any runner. Wall time is
+// perfbench's to measure. The MSRI workloads additionally carry waste counters (dead-candidate
 // share of PWL segment ops); the waste-budget gate fails the run when a
 // workload's waste ratio grows more than -waste-threshold per-mille
 // points past the baseline.
@@ -35,16 +33,14 @@ import (
 func main() {
 	var (
 		suite     = flag.String("suite", "quick", "workload suite: quick (CI-sized) or full")
-		repeats   = flag.Int("repeats", 3, "wall-time repeats per workload (best-of)")
 		out       = flag.String("out", "BENCH_msrnet.json", "write the report to this file")
 		baseline  = flag.String("baseline", "", "compare against this committed report; exit 1 on regression")
 		threshold = flag.Float64("threshold", 0.25, "allowed fractional growth per work counter")
-		timeTol   = flag.Float64("time-threshold", 0, "allowed fractional wall-time growth (0 = don't compare time)")
 		wasteTol  = flag.Int64("waste-threshold", 5, "allowed waste-ratio growth in per-mille points (waste-budget gate; negative = don't gate)")
 	)
 	flag.Parse()
 
-	rep, err := bench.Run(bench.Config{Suite: *suite, Repeats: *repeats})
+	rep, err := bench.Run(*suite)
 	if err != nil {
 		fatal(err)
 	}
@@ -59,7 +55,7 @@ func main() {
 	}
 
 	for _, wl := range rep.Workloads {
-		fmt.Printf("%-14s %10.4fs", wl.Name, wl.WallSeconds)
+		fmt.Printf("%-14s", wl.Name)
 		for _, key := range []string{"solutions_created", "prune_calls", "nodes"} {
 			if v, ok := wl.Counters[key]; ok {
 				fmt.Printf("  %s=%d", key, v)
@@ -75,7 +71,7 @@ func main() {
 	if base == nil {
 		return
 	}
-	regs, err := bench.Compare(*base, rep, *threshold, *timeTol)
+	regs, err := bench.Compare(*base, rep, *threshold)
 	if err != nil {
 		fatal(err)
 	}

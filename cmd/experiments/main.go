@@ -14,16 +14,16 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 
 	"msrnet/internal/ard"
+	"msrnet/internal/atomicfile"
 	"msrnet/internal/buslib"
 	"msrnet/internal/cliflags"
 	"msrnet/internal/experiments"
-	"msrnet/internal/obs"
-	trc "msrnet/internal/obs/trace"
 	"msrnet/internal/rctree"
 	"msrnet/internal/solveprof"
 	"msrnet/internal/svgplot"
@@ -55,7 +55,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	reg, tcr := run.Reg, run.Tracer
+	tcr := run.Tracer
 	defer func() {
 		if err := run.Close(); err != nil {
 			fatal(err)
@@ -70,7 +70,7 @@ func main() {
 	}
 	var t2rows []experiments.Table2Row
 	if *all || *table == 2 || *table == 4 {
-		done := startStudy(reg, tcr, "experiments/table2")
+		study := tcr.Begin("experiments/table2", "study")
 		for _, pins := range []int{10, 20} {
 			row, _, err := experiments.Table2Parallel(pins, *nets, *seed, tech, *parallel)
 			if err != nil {
@@ -78,13 +78,13 @@ func main() {
 			}
 			t2rows = append(t2rows, row)
 		}
-		done()
+		study.End()
 	}
 	if *all || *table == 2 {
 		fmt.Print(experiments.FormatTable2(t2rows))
 		fmt.Println()
 		if *csvdir != "" {
-			if err := writeCSV(*csvdir, "table2.csv", func(w *os.File) error {
+			if err := writeCSV(*csvdir, "table2.csv", func(w io.Writer) error {
 				return experiments.WriteTable2CSV(w, t2rows)
 			}); err != nil {
 				fatal(err)
@@ -93,16 +93,16 @@ func main() {
 		did = true
 	}
 	if *all || *table == 3 {
-		done := startStudy(reg, tcr, "experiments/table3")
+		study := tcr.Begin("experiments/table3", "study")
 		rows, err := experiments.Table3(tech)
 		if err != nil {
 			fatal(err)
 		}
-		done()
+		study.End()
 		fmt.Print(experiments.FormatTable3(rows))
 		fmt.Println()
 		if *csvdir != "" {
-			if err := writeCSV(*csvdir, "table3.csv", func(w *os.File) error {
+			if err := writeCSV(*csvdir, "table3.csv", func(w io.Writer) error {
 				return experiments.WriteTable3CSV(w, rows)
 			}); err != nil {
 				fatal(err)
@@ -116,12 +116,12 @@ func main() {
 		did = true
 	}
 	if *all || *fig == 11 {
-		done := startStudy(reg, tcr, "experiments/fig11")
+		study := tcr.Begin("experiments/fig11", "study")
 		f, err := experiments.Fig11(8, tech, []int{2, 5})
 		if err != nil {
 			fatal(err)
 		}
-		done()
+		study.End()
 		fmt.Print(experiments.FormatFig11(f))
 		fmt.Println()
 		if *svgdir != "" {
@@ -131,18 +131,15 @@ func main() {
 			rt := f.Tree.RootAt(f.Tree.Terminals()[0])
 			for i, s := range f.Solutions {
 				path := filepath.Join(*svgdir, fmt.Sprintf("fig11-%d-%dreps.svg", i, s.Repeaters))
-				fh, err := os.Create(path)
-				if err != nil {
-					fatal(err)
-				}
 				net := rctree.NewNet(rt, tech, s.Assign)
 				r := ard.Compute(net, ard.Options{})
-				err = svgplot.Render(fh, f.Tree, s.Assign, svgplot.Annotation{
-					Title:    s.Label,
-					Subtitle: fmt.Sprintf("RC-diameter %.4f ns, critical %s → %s", s.ARD, s.CritSrc, s.CritSink),
-					CritSrc:  r.CritSrc, CritSink: r.CritSink,
-				}, svgplot.Style{ShowLabels: true})
-				fh.Close()
+				err := atomicfile.Write(path, func(w io.Writer) error {
+					return svgplot.Render(w, f.Tree, s.Assign, svgplot.Annotation{
+						Title:    s.Label,
+						Subtitle: fmt.Sprintf("RC-diameter %.4f ns, critical %s → %s", s.ARD, s.CritSrc, s.CritSink),
+						CritSrc:  r.CritSrc, CritSink: r.CritSink,
+					}, svgplot.Style{ShowLabels: true})
+				})
 				if err != nil {
 					fatal(err)
 				}
@@ -152,16 +149,16 @@ func main() {
 		did = true
 	}
 	if *all || *spacing {
-		done := startStudy(reg, tcr, "experiments/spacing")
+		study := tcr.Begin("experiments/spacing", "study")
 		rows, err := experiments.SpacingStudy(10, *nets, *seed, tech, []float64{800, 450, 300})
 		if err != nil {
 			fatal(err)
 		}
-		done()
+		study.End()
 		fmt.Print(experiments.FormatSpacing(rows))
 		fmt.Println()
 		if *csvdir != "" {
-			if err := writeCSV(*csvdir, "spacing.csv", func(w *os.File) error {
+			if err := writeCSV(*csvdir, "spacing.csv", func(w io.Writer) error {
 				return experiments.WriteSpacingCSV(w, rows)
 			}); err != nil {
 				fatal(err)
@@ -170,7 +167,7 @@ func main() {
 		did = true
 	}
 	if *all || *combined {
-		done := startStudy(reg, tcr, "experiments/combined")
+		study := tcr.Begin("experiments/combined", "study")
 		var rows []experiments.CombinedRow
 		for _, pins := range []int{10, 20} {
 			row, err := experiments.Combined(pins, *nets, *seed, tech)
@@ -179,18 +176,18 @@ func main() {
 			}
 			rows = append(rows, row)
 		}
-		done()
+		study.End()
 		fmt.Print(experiments.FormatCombined(rows))
 		fmt.Println()
 		did = true
 	}
 	if *all || *asym {
-		done := startStudy(reg, tcr, "experiments/asym")
+		study := tcr.Begin("experiments/asym", "study")
 		rows, err := experiments.Asymmetric(10, *nets, *seed, tech, []float64{0.2, 0.5, 1.0})
 		if err != nil {
 			fatal(err)
 		}
-		done()
+		study.End()
 		fmt.Print(experiments.FormatAsym(rows))
 		fmt.Println()
 		did = true
@@ -225,29 +222,15 @@ func studyLabel() string {
 	return strings.Join(parts, ",")
 }
 
-// startStudy opens the same study phase in both sinks — a registry span
-// for the aggregate report and a trace region for the timeline — and
-// returns the closer. Both sinks are nil-safe, so unconfigured runs pay
-// nothing.
-func startStudy(reg *obs.Registry, tcr *trc.Tracer, name string) func() {
-	sp := reg.StartSpan(name)
-	rg := tcr.Begin(name, "study")
-	return func() { sp.End(); rg.End() }
-}
-
-func writeCSV(dir, name string, fn func(*os.File) error) error {
+func writeCSV(dir, name string, fn func(io.Writer) error) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	fh, err := os.Create(filepath.Join(dir, name))
-	if err != nil {
+	path := filepath.Join(dir, name)
+	if err := atomicfile.Write(path, fn); err != nil {
 		return err
 	}
-	defer fh.Close()
-	if err := fn(fh); err != nil {
-		return err
-	}
-	fmt.Println("wrote", filepath.Join(dir, name))
+	fmt.Println("wrote", path)
 	return nil
 }
 

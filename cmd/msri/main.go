@@ -11,8 +11,8 @@
 //	msri -net net10.json -mode both            # sizing + repeaters jointly
 //	msri -net net10.json -svg out.svg          # render the chosen solution
 //	msri -net net10.json -assign out.json      # dump the chosen assignment
-//	msri -net net10.json -metrics m.json       # JSON metrics snapshot (spans + histograms)
-//	msri -net net10.json -trace                # phase-span report on stderr
+//	msri -net net10.json -metrics m.json       # JSON metrics snapshot (counters + histograms)
+//	msri -net net10.json -trace                # metrics report on stderr
 //	msri -net net10.json -trace-events t.json  # Perfetto-loadable per-node DP timeline
 //	msri -net net10.json -solveprof p.json     # candidate-lifecycle waste profile (see msrnetprof)
 //	msri -net net10.json -listen :9090         # live /metrics, /debug/vars, /debug/pprof
@@ -22,11 +22,13 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
 
 	"msrnet/internal/ard"
+	"msrnet/internal/atomicfile"
 	"msrnet/internal/cliflags"
 	"msrnet/internal/core"
 	"msrnet/internal/netio"
@@ -72,12 +74,10 @@ func main() {
 		}
 	}()
 
-	loadSpan := reg.StartSpan("msri/load")
 	tr, tech, err := loadNet(*netPath)
 	if err != nil {
 		fatal(err)
 	}
-	loadSpan.End()
 	opt := core.Options{Obs: reg, Trace: tcr}
 	switch *mode {
 	case "repeaters":
@@ -115,12 +115,10 @@ func main() {
 	fmt.Printf("net: %d terminals, %d insertion points, %.0f µm wire, unoptimized ARD %.4f ns\n",
 		len(tr.Terminals()), len(tr.Insertions()), tr.TotalWireLength(), baseARD)
 
-	optSpan := reg.StartSpan("msri/optimize")
 	res, err := core.Optimize(rt, tech, opt)
 	if err != nil {
 		fatal(err)
 	}
-	optSpan.End()
 	fmt.Println("cost/ARD tradeoff suite:")
 	if err := report.Suite(os.Stdout, res.Suite); err != nil {
 		fatal(err)
@@ -165,30 +163,25 @@ func main() {
 	}
 	asg := chosen.Assignment()
 	if *asgOut != "" {
-		fh, err := os.Create(*asgOut)
+		err := atomicfile.Write(*asgOut, func(w io.Writer) error {
+			enc := json.NewEncoder(w)
+			enc.SetIndent("", "  ")
+			return enc.Encode(netio.EncodeAssignment(chosen.Cost, chosen.ARD, asg))
+		})
 		if err != nil {
 			fatal(err)
 		}
-		enc := json.NewEncoder(fh)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(netio.EncodeAssignment(chosen.Cost, chosen.ARD, asg)); err != nil {
-			fatal(err)
-		}
-		fh.Close()
 	}
 	if *svgOut != "" {
-		fh, err := os.Create(*svgOut)
-		if err != nil {
-			fatal(err)
-		}
 		net := rctree.NewNet(rt, tech, asg)
 		r := ard.Compute(net, ard.Options{})
-		err = svgplot.Render(fh, tr, asg, svgplot.Annotation{
-			Title:    fmt.Sprintf("%s solution", *mode),
-			Subtitle: fmt.Sprintf("cost %.1f, ARD %.4f ns", chosen.Cost, chosen.ARD),
-			CritSrc:  r.CritSrc, CritSink: r.CritSink,
-		}, svgplot.Style{ShowLabels: true})
-		fh.Close()
+		err := atomicfile.Write(*svgOut, func(w io.Writer) error {
+			return svgplot.Render(w, tr, asg, svgplot.Annotation{
+				Title:    fmt.Sprintf("%s solution", *mode),
+				Subtitle: fmt.Sprintf("cost %.1f, ARD %.4f ns", chosen.Cost, chosen.ARD),
+				CritSrc:  r.CritSrc, CritSink: r.CritSink,
+			}, svgplot.Style{ShowLabels: true})
+		})
 		if err != nil {
 			fatal(err)
 		}

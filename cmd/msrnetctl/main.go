@@ -32,6 +32,7 @@ import (
 	"strings"
 	"time"
 
+	"msrnet/internal/atomicfile"
 	"msrnet/internal/client"
 	"msrnet/internal/cliflags"
 	"msrnet/internal/obs/reqctx"
@@ -205,15 +206,7 @@ func collectTrace(ctx context.Context, c *client.ClusterClient, traceID, out str
 		fmt.Fprintf(os.Stderr, "msrnetctl: %s\n", e)
 	}
 	if out != "" {
-		f, err := os.Create(out)
-		if err != nil {
-			return err
-		}
-		if err := col.Stitched.WriteChrome(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := atomicfile.Write(out, col.Stitched.WriteChrome); err != nil {
 			return err
 		}
 		fmt.Fprintf(os.Stderr, "msrnetctl: stitched Chrome trace written to %s\n", out)

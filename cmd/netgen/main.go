@@ -11,8 +11,10 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
+	"msrnet/internal/atomicfile"
 	"msrnet/internal/buslib"
 	"msrnet/internal/cliflags"
 	"msrnet/internal/netgen"
@@ -40,7 +42,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	reg := run.Reg
 	defer func() {
 		if err := run.Close(); err != nil {
 			fatal(err)
@@ -55,43 +56,29 @@ func main() {
 		SourceFrac:            *sources,
 		SinkFrac:              *sinks,
 	}
-	genSpan := reg.StartSpan("netgen/generate")
 	tr, err := netgen.Generate(*seed, p)
 	if err != nil {
 		fatal(err)
 	}
-	genSpan.End()
 	netName := *name
 	if netName == "" {
 		netName = fmt.Sprintf("rand-%dpin-seed%d", *pins, *seed)
 	}
-	f := netio.Encode(netName, tr, buslib.Default())
-	w := os.Stdout
 	if *out != "" {
-		fh, err := os.Create(*out)
-		if err != nil {
-			fatal(err)
-		}
-		defer fh.Close()
-		w = fh
+		err = netio.Save(*out, netName, tr, buslib.Default())
+	} else {
+		err = netio.Write(os.Stdout, netio.Encode(netName, tr, buslib.Default()))
 	}
-	wrSpan := reg.StartSpan("netgen/write")
-	if err := netio.Write(w, f); err != nil {
+	if err != nil {
 		fatal(err)
 	}
-	wrSpan.End()
 	if *spefOut != "" {
-		spefSpan := reg.StartSpan("netgen/spef")
-		fh, err := os.Create(*spefOut)
+		err := atomicfile.Write(*spefOut, func(w io.Writer) error {
+			return spef.Write(w, netName, tr, buslib.Default())
+		})
 		if err != nil {
 			fatal(err)
 		}
-		if err := spef.Write(fh, netName, tr, buslib.Default()); err != nil {
-			fh.Close()
-			fatal(err)
-		}
-		fh.Close()
-		spefSpan.End()
 		fmt.Fprintln(os.Stderr, "wrote", *spefOut)
 	}
 	fmt.Fprintf(os.Stderr, "generated %s: %d terminals, %d insertion points, %.0f µm wire\n",

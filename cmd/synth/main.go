@@ -13,10 +13,11 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
-	"os"
 
 	"msrnet/internal/ard"
+	"msrnet/internal/atomicfile"
 	"msrnet/internal/buslib"
 	"msrnet/internal/cliflags"
 	"msrnet/internal/geom"
@@ -44,7 +45,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	reg := run.Reg
 	defer func() {
 		if err := run.Close(); err != nil {
 			fatal(err)
@@ -78,12 +78,10 @@ func main() {
 	// Baseline for comparison: fixed 1-Steiner route.
 	baseLen := rsmt.Steiner(pts).Length()
 
-	synSpan := reg.StartSpan("synth/synthesize")
 	res, err := ptree.TimingDriven(pts, terms, tech, *spacing, ptree.Options{})
 	if err != nil {
 		fatal(err)
 	}
-	synSpan.End()
 	best, err := res.Suite.MinARD()
 	if err != nil {
 		fatal(err)
@@ -100,20 +98,17 @@ func main() {
 		fmt.Println("wrote", *out)
 	}
 	if *svgOut != "" {
-		fh, err := os.Create(*svgOut)
-		if err != nil {
-			fatal(err)
-		}
 		asg := best.Assignment()
 		rt := res.Tree.RootAt(res.Tree.Terminals()[0])
 		net := rctree.NewNet(rt, tech, asg)
 		r := ard.Compute(net, ard.Options{})
-		err = svgplot.Render(fh, res.Tree, asg, svgplot.Annotation{
-			Title:    "timing-driven synthesis",
-			Subtitle: fmt.Sprintf("ARD %.4f ns, cost %.0f", best.ARD, best.Cost),
-			CritSrc:  r.CritSrc, CritSink: r.CritSink,
-		}, svgplot.Style{ShowLabels: true})
-		fh.Close()
+		err := atomicfile.Write(*svgOut, func(w io.Writer) error {
+			return svgplot.Render(w, res.Tree, asg, svgplot.Annotation{
+				Title:    "timing-driven synthesis",
+				Subtitle: fmt.Sprintf("ARD %.4f ns, cost %.0f", best.ARD, best.Cost),
+				CritSrc:  r.CritSrc, CritSink: r.CritSink,
+			}, svgplot.Style{ShowLabels: true})
+		})
 		if err != nil {
 			fatal(err)
 		}

@@ -7,11 +7,12 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
 	"math"
-	"os"
 
 	"msrnet"
+	"msrnet/internal/atomicfile"
 )
 
 func main() {
@@ -112,12 +113,10 @@ func main() {
 	fmt.Printf("simulation check: worst sim/Elmore ratio from cpu0 = %.3f (≤ 1 expected)\n", worstRatio)
 
 	// Render the solution.
-	f, err := os.Create("busopt.svg")
+	err = atomicfile.Write("busopt.svg", func(w io.Writer) error {
+		return net.RenderSVG(w, asg, "16-drop bus, timing-closed")
+	})
 	if err != nil {
-		log.Fatal(err)
-	}
-	defer f.Close()
-	if err := net.RenderSVG(f, asg, "16-drop bus, timing-closed"); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("wrote busopt.svg")

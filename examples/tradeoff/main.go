@@ -8,11 +8,12 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
-	"os"
 	"strings"
 
 	"msrnet"
+	"msrnet/internal/atomicfile"
 )
 
 func main() {
@@ -80,15 +81,13 @@ func main() {
 		{"fastest", fastest},
 	} {
 		path := fmt.Sprintf("tradeoff-%s.svg", pick.tag)
-		f, err := os.Create(path)
+		title := fmt.Sprintf("%s: cost %.0f, ARD %.4f ns", pick.tag, pick.sol.Cost, pick.sol.ARD)
+		err := atomicfile.Write(path, func(w io.Writer) error {
+			return net.RenderSVG(w, pick.sol.Assignment(), title)
+		})
 		if err != nil {
 			log.Fatal(err)
 		}
-		title := fmt.Sprintf("%s: cost %.0f, ARD %.4f ns", pick.tag, pick.sol.Cost, pick.sol.ARD)
-		if err := net.RenderSVG(f, pick.sol.Assignment(), title); err != nil {
-			log.Fatal(err)
-		}
-		f.Close()
 		fmt.Println("wrote", path)
 	}
 }

@@ -30,9 +30,8 @@ type Options struct {
 	// own launch). The bus-timing interpretation excludes them, matching
 	// the experiments in §VI; enable for the fully general diameter.
 	IncludeSelf bool
-	// Obs, when non-nil, records the "ard/compute" span (with its
-	// "stage_cap" and "dfs" sub-passes) and per-run node counters, the
-	// observable side of the §III linear-time claim. Nil is free.
+	// Obs, when non-nil, records per-run node counters, the observable
+	// side of the §III linear-time claim. Nil is free.
 	Obs *obs.Registry
 	// Trace, when non-nil, records the timeline of the three Fig. 2
 	// passes — "ard/stage_cap" (the eqs. 1–2 capacitance pass),
@@ -106,7 +105,6 @@ type lifted struct {
 // Compute returns the ARD of the assigned net in linear time.
 func Compute(n *rctree.Net, opt Options) Result {
 	t := n.R.Tree
-	defer opt.Obs.StartSpan("ard/compute").End()
 	trTotal := opt.Trace.Begin("ard/compute", "ard")
 	defer func() {
 		trTotal.End(opt.targs(trace.I("nodes", t.NumNodes()),
@@ -121,7 +119,6 @@ func Compute(n *rctree.Net, opt Options) Result {
 	// Per-node total stage capacitance for O(1) "stage cap away from
 	// child c" queries at branch points: stageCap[v] − wireCap(c) −
 	// CapBelow[c]. Undefined at repeater nodes, whose sides decouple.
-	capPass := opt.Obs.StartSpan("ard/compute/stage_cap")
 	trCap := opt.Trace.Begin("ard/stage_cap", "ard")
 	stageCap := make([]float64, t.NumNodes())
 	for _, v := range n.R.PostOrder {
@@ -132,9 +129,7 @@ func Compute(n *rctree.Net, opt Options) Result {
 		stageCap[v] = n.StageCapAt(v)
 	}
 	trCap.End(opt.targs(trace.I("nodes", t.NumNodes()))...)
-	capPass.End()
 
-	defer opt.Obs.StartSpan("ard/compute/dfs").End()
 	trDFS := opt.Trace.Begin("ard/dfs", "ard")
 	sub := make([]subtree, t.NumNodes())
 	for _, v := range n.R.PostOrder {

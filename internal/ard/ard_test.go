@@ -252,8 +252,8 @@ func benchARD(b *testing.B, f func(n *rctree.Net)) {
 	}
 }
 
-// TestComputeRecordsObs: the linear-time pass must record its phase
-// spans and node counters, the measured side of the §III claim.
+// TestComputeRecordsObs: the linear-time pass must record its node
+// counters, the measured side of the §III claim.
 func TestComputeRecordsObs(t *testing.T) {
 	r := rand.New(rand.NewSource(33))
 	cfg := testnet.DefaultConfig()
@@ -275,10 +275,5 @@ func TestComputeRecordsObs(t *testing.T) {
 	}
 	if snap.Counters["ard/nodes"] == 0 || snap.Counters["ard/sources"] == 0 || snap.Counters["ard/sinks"] == 0 {
 		t.Errorf("node/source/sink counters empty: %+v", snap.Counters)
-	}
-	for _, path := range []string{"ard/compute", "ard/compute/stage_cap", "ard/compute/dfs"} {
-		if reg.SpanSeconds(path) <= 0 {
-			t.Errorf("span %q not recorded", path)
-		}
 	}
 }

@@ -1,7 +1,8 @@
 // Package atomicfile writes artifact files crash-consistently: a file
-// written through Write is complete or absent, never truncated — so a
-// reader of a postmortem bundle, a bench report, a solve profile, a
-// trace, a metrics dump or a saved net never sees half of one.
+// written through Write, or streamed into a File and committed, is
+// complete or absent, never truncated — so a reader of a postmortem
+// bundle, a bench report, a solve profile, a trace, a metrics dump, a
+// CPU profile or a saved net never sees half of one.
 package atomicfile
 
 import (
@@ -21,27 +22,57 @@ func Write(path string, write func(io.Writer) error) error {
 	if fi, err := os.Stat(path); err == nil && !fi.Mode().IsRegular() {
 		return writeInPlace(path, write)
 	}
-	f, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp*")
+	f, err := Create(path)
 	if err != nil {
 		return err
 	}
-	if err := fill(f, write); err != nil {
-		f.Close()
-		os.Remove(f.Name())
+	if err := write(f); err != nil {
+		f.Abort()
 		return err
 	}
-	if err := os.Rename(f.Name(), path); err != nil {
-		os.Remove(f.Name())
-		return err
-	}
-	return syncDir(filepath.Dir(path))
+	return f.Commit()
 }
 
-// fill writes the temp file's contents and makes them durable.
-func fill(f *os.File, write func(io.Writer) error) error {
-	if err := write(f); err != nil {
+// File is a temp file that becomes path only on Commit, for writers
+// that stream over a whole run (a CPU profile) rather than filling the
+// file in one Write callback.
+type File struct {
+	*os.File
+	path string
+}
+
+// Create opens the temp file for path in path's directory.
+func Create(path string) (*File, error) {
+	f, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp*")
+	if err != nil {
+		return nil, err
+	}
+	return &File{File: f, path: path}, nil
+}
+
+// Commit fsyncs and closes the temp file, renames it over path and
+// fsyncs the directory. On an error before the rename the temp file is
+// removed and path is untouched.
+func (f *File) Commit() error {
+	if err := f.seal(); err != nil {
+		f.Abort()
 		return err
 	}
+	if err := os.Rename(f.Name(), f.path); err != nil {
+		os.Remove(f.Name())
+		return err
+	}
+	return syncDir(filepath.Dir(f.path))
+}
+
+// Abort closes and removes the temp file, leaving path untouched.
+func (f *File) Abort() {
+	f.Close()
+	os.Remove(f.Name())
+}
+
+// seal makes the temp file's contents durable and closes it.
+func (f *File) seal() error {
 	if err := f.Chmod(0o644); err != nil {
 		return err
 	}

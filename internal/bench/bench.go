@@ -1,32 +1,29 @@
-// Package bench is the measurement half of the perf-regression
+// Package bench is the counting half of the perf-regression
 // observatory behind cmd/benchreport: a fixed set of paper-derived
 // workloads (ARD characterization on §VI-style random nets, MSRI
-// dynamic-program sweeps), each run under its own obs.Registry so the
-// report carries per-phase span timings next to the DP's deterministic
-// work counters.
+// dynamic-program sweeps), each reporting the DP's deterministic work
+// counters.
 //
 // Reports are schema-versioned JSON. Regression detection compares the
-// deterministic counters (solutions created, prune calls, set sizes…)
-// by default — those are machine-independent, so a committed baseline
-// stays meaningful on any CI runner — and treats wall-clock as opt-in,
-// since it only means something against a baseline from the same
-// machine.
+// counters (solutions created, prune calls, set sizes…), which are
+// machine-independent, so a committed baseline stays meaningful on any
+// CI runner. Wall time is left to perfbench/, which times the same DP
+// with instrumentation off.
 package bench
 
 import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"sort"
-	"time"
 
 	"msrnet/internal/ard"
 	"msrnet/internal/atomicfile"
 	"msrnet/internal/buslib"
 	"msrnet/internal/core"
 	"msrnet/internal/netgen"
-	"msrnet/internal/obs"
 	"msrnet/internal/rctree"
 	"msrnet/internal/solveprof"
 )
@@ -34,54 +31,34 @@ import (
 // Schema identifies the report layout for downstream tooling.
 const Schema = "msrnet-bench/v1"
 
-// Report is one observatory run: every workload of a suite, measured.
+// Report is one observatory run: every workload of a suite, counted.
 type Report struct {
 	Schema    string     `json:"schema"`
 	Suite     string     `json:"suite"`
-	Repeats   int        `json:"repeats"`
 	Workloads []Workload `json:"workloads"`
 }
 
-// Workload is one measured workload. Counters are deterministic work
-// measures (identical across repeats, enforced by Run); Phases are the
-// obs span tree of the best repeat, flattened to '/'-joined paths;
-// WallSeconds is the best-of-repeats wall time.
+// Workload is one counted workload. Counters are deterministic work
+// measures, identical across runs (enforced by Run).
 type Workload struct {
-	Name        string           `json:"name"`
-	Counters    map[string]int64 `json:"counters"`
-	Phases      []Phase          `json:"phases,omitempty"`
-	WallSeconds float64          `json:"wall_seconds"`
-}
-
-// Phase is one flattened span-tree node.
-type Phase struct {
-	Path    string  `json:"path"`
-	Count   int64   `json:"count"`
-	Seconds float64 `json:"seconds"`
-}
-
-// Config selects the workload suite and measurement effort.
-type Config struct {
-	Suite   string // "quick" (CI-sized) or "full"; default "quick"
-	Repeats int    // wall-time repeats, best-of; default 3
+	Name     string           `json:"name"`
+	Counters map[string]int64 `json:"counters"`
 }
 
 // workload pairs a stable name with a body that does the work and
-// returns its deterministic counters. The registry collects phase spans
-// (and the library counters of the runs it is passed to).
+// returns its deterministic counters.
 type workload struct {
 	name string
-	run  func(reg *obs.Registry) (map[string]int64, error)
+	run  func() (map[string]int64, error)
 }
 
-// ardWorkload measures the linear-time Fig. 2 ARD pass: the per-call
-// cost is microseconds, so it is iterated to get a measurable wall
-// time. Counters pin the input shape so a silent netgen change shows up
-// as a counter diff rather than a mystery slowdown.
+// ardWorkload runs the linear-time Fig. 2 ARD pass iters times.
+// Counters pin the input shape so a silent netgen change shows up as a
+// counter diff rather than a mystery slowdown.
 func ardWorkload(pins int, seed int64, iters int) workload {
 	return workload{
 		name: fmt.Sprintf("ard/%dpin", pins),
-		run: func(reg *obs.Registry) (map[string]int64, error) {
+		run: func() (map[string]int64, error) {
 			tr, err := netgen.Generate(seed, netgen.Defaults(pins))
 			if err != nil {
 				return nil, err
@@ -89,7 +66,7 @@ func ardWorkload(pins int, seed int64, iters int) workload {
 			rt := tr.RootAt(tr.Terminals()[0])
 			net := rctree.NewNet(rt, buslib.Default(), rctree.Assignment{})
 			for i := 0; i < iters; i++ {
-				ard.Compute(net, ard.Options{Obs: reg})
+				ard.Compute(net, ard.Options{})
 			}
 			return map[string]int64{
 				"nodes":      int64(tr.NumNodes()),
@@ -112,7 +89,7 @@ func MSRIWorkloadName(pins int) string { return fmt.Sprintf("msri/%dpin", pins) 
 // on. Profiling is pure observation (asserted by the core tests), so
 // the Stats counters are identical to an unprofiled run — the committed
 // baseline stays valid.
-func msriRun(pins int, reg *obs.Registry) (*core.Result, error) {
+func msriRun(pins int) (*core.Result, error) {
 	seed, ok := msriParams[pins]
 	if !ok {
 		return nil, fmt.Errorf("bench: no committed msri workload for %d pins", pins)
@@ -122,7 +99,7 @@ func msriRun(pins int, reg *obs.Registry) (*core.Result, error) {
 		return nil, err
 	}
 	rt := tr.RootAt(tr.Terminals()[0])
-	return core.Optimize(rt, buslib.Default(), core.Options{Repeaters: true, Obs: reg, Profile: true})
+	return core.Optimize(rt, buslib.Default(), core.Options{Repeaters: true, Profile: true})
 }
 
 // ProfileMSRI runs one committed MSRI workload ("msri/12pin" form) and
@@ -133,10 +110,10 @@ func ProfileMSRI(name string) (*core.Result, error) {
 	if _, err := fmt.Sscanf(name, "msri/%dpin", &pins); err != nil {
 		return nil, fmt.Errorf("bench: workload %q is not an msri workload (want msri/<N>pin)", name)
 	}
-	return msriRun(pins, nil)
+	return msriRun(pins)
 }
 
-// msriWorkload measures one optimal repeater-insertion run (§IV DP).
+// msriWorkload counts one optimal repeater-insertion run (§IV DP).
 // The Stats counters are the DP's work profile: any algorithmic
 // regression — weaker pruning, set blow-up, PWL segment growth — moves
 // them, on every machine identically. The lifecycle profile adds the
@@ -145,13 +122,11 @@ func ProfileMSRI(name string) (*core.Result, error) {
 func msriWorkload(pins int) workload {
 	return workload{
 		name: MSRIWorkloadName(pins),
-		run: func(reg *obs.Registry) (map[string]int64, error) {
-			sp := reg.StartSpan("msri/optimize")
-			res, err := msriRun(pins, reg)
+		run: func() (map[string]int64, error) {
+			res, err := msriRun(pins)
 			if err != nil {
 				return nil, err
 			}
-			sp.End()
 			p := res.Profile
 			return map[string]int64{
 				"solutions_created": int64(res.Stats.SolutionsCreated),
@@ -195,80 +170,35 @@ func suiteWorkloads(suite string) ([]workload, error) {
 	}
 }
 
-// Run executes the configured suite and returns the report. Each
-// workload is repeated Config.Repeats times; wall time and phases come
-// from the fastest repeat, and the deterministic counters must agree
-// across repeats — a mismatch means the workload is nondeterministic
-// and the report would be meaningless as a baseline, so Run fails.
-func Run(cfg Config) (Report, error) {
-	if cfg.Repeats <= 0 {
-		cfg.Repeats = 3
+// Run executes the suite ("quick", the default, or "full") and returns
+// the report. Each workload runs twice, and the two runs' counters must
+// agree: a mismatch means the workload is nondeterministic and the
+// report would be meaningless as a baseline, so Run fails.
+func Run(suite string) (Report, error) {
+	if suite == "" {
+		suite = "quick"
 	}
-	if cfg.Suite == "" {
-		cfg.Suite = "quick"
-	}
-	wls, err := suiteWorkloads(cfg.Suite)
+	wls, err := suiteWorkloads(suite)
 	if err != nil {
 		return Report{}, err
 	}
-	rep := Report{Schema: Schema, Suite: cfg.Suite, Repeats: cfg.Repeats}
+	rep := Report{Schema: Schema, Suite: suite}
 	for _, wl := range wls {
-		var (
-			best     time.Duration
-			counters map[string]int64
-			phases   []Phase
-		)
-		for i := 0; i < cfg.Repeats; i++ {
-			reg := obs.New()
-			start := time.Now()
-			c, err := wl.run(reg)
-			elapsed := time.Since(start)
+		var counters map[string]int64
+		for i := 0; i < 2; i++ {
+			c, err := wl.run()
 			if err != nil {
 				return Report{}, fmt.Errorf("bench: workload %s: %w", wl.name, err)
 			}
-			if counters != nil && !sameCounters(counters, c) {
-				return Report{}, fmt.Errorf("bench: workload %s: counters differ across repeats (%v vs %v)",
+			if counters != nil && !maps.Equal(counters, c) {
+				return Report{}, fmt.Errorf("bench: workload %s: counters differ across runs (%v vs %v)",
 					wl.name, counters, c)
-			}
-			if i == 0 || elapsed < best {
-				best = elapsed
-				phases = flattenSpans(reg.Snapshot().Spans, "")
 			}
 			counters = c
 		}
-		rep.Workloads = append(rep.Workloads, Workload{
-			Name:        wl.name,
-			Counters:    counters,
-			Phases:      phases,
-			WallSeconds: best.Seconds(),
-		})
+		rep.Workloads = append(rep.Workloads, Workload{Name: wl.name, Counters: counters})
 	}
 	return rep, nil
-}
-
-func sameCounters(a, b map[string]int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if b[k] != v {
-			return false
-		}
-	}
-	return true
-}
-
-func flattenSpans(spans []obs.SpanSnapshot, prefix string) []Phase {
-	var out []Phase
-	for _, sp := range spans {
-		path := sp.Name
-		if prefix != "" {
-			path = prefix + "/" + sp.Name
-		}
-		out = append(out, Phase{Path: path, Count: sp.Count, Seconds: sp.Seconds})
-		out = append(out, flattenSpans(sp.Children, path)...)
-	}
-	return out
 }
 
 // Regression is one metric that got worse past its threshold.
@@ -293,10 +223,10 @@ func nonzero(v float64) float64 {
 
 // Compare checks cur against base. A counter that grew beyond
 // base·(1+counterTol) is a regression (shrinking is an improvement and
-// passes); with timeTol > 0, wall time is checked the same way. A
-// workload present in base but missing from cur is always a
-// regression — a silently dropped workload must not read as green.
-func Compare(base, cur Report, counterTol, timeTol float64) ([]Regression, error) {
+// passes). A workload or counter present in base but missing from cur
+// is always a regression — a silently dropped or renamed measure must
+// not read as green.
+func Compare(base, cur Report, counterTol float64) ([]Regression, error) {
 	if base.Schema != Schema {
 		return nil, fmt.Errorf("bench: baseline schema %q, want %q", base.Schema, Schema)
 	}
@@ -320,16 +250,15 @@ func Compare(base, cur Report, counterTol, timeTol float64) ([]Regression, error
 		}
 		sort.Strings(names)
 		for _, name := range names {
-			b, c := float64(bw.Counters[name]), float64(cw.Counters[name])
-			if c > b*(1+counterTol) {
+			b := float64(bw.Counters[name])
+			cv, ok := cw.Counters[name]
+			if !ok {
+				regs = append(regs, Regression{Workload: bw.Name, Metric: "(missing counter " + name + ")", Base: b})
+				continue
+			}
+			if c := float64(cv); c > b*(1+counterTol) {
 				regs = append(regs, Regression{Workload: bw.Name, Metric: name, Base: b, Current: c})
 			}
-		}
-		if timeTol > 0 && cw.WallSeconds > bw.WallSeconds*(1+timeTol) {
-			regs = append(regs, Regression{
-				Workload: bw.Name, Metric: "wall_seconds",
-				Base: bw.WallSeconds, Current: cw.WallSeconds,
-			})
 		}
 	}
 	return regs, nil

@@ -73,8 +73,8 @@ type Set struct {
 // parsing.
 func Register(fs *flag.FlagSet, caps Caps) *Set {
 	s := &Set{caps: caps}
-	s.metrics = fs.String("metrics", "", "write a JSON metrics snapshot (phase spans, counters, histograms) to this file")
-	s.trace = fs.Bool("trace", false, "print the phase-span/metrics report to stderr on exit")
+	s.metrics = fs.String("metrics", "", "write a JSON metrics snapshot (counters, gauges, histograms) to this file")
+	s.trace = fs.Bool("trace", false, "print the metrics report to stderr on exit")
 	if caps.TraceEvents {
 		s.traceEvs = fs.String("trace-events", "", "write a Chrome trace-event JSON timeline (Perfetto-loadable) to this file")
 	}
@@ -96,7 +96,7 @@ type Run struct {
 
 	set     *Set
 	srv     *export.Server
-	stopCPU func()
+	stopCPU func() error
 }
 
 // Start begins the CPU profile, creates the registry and tracer as
@@ -138,13 +138,13 @@ func (s *Set) listenAddr() string {
 // then shut the -listen endpoint. The first error wins but every step
 // still runs.
 func (r *Run) Close() error {
-	r.stopCPU()
 	var first error
 	keep := func(err error) {
 		if err != nil && first == nil {
 			first = err
 		}
 	}
+	keep(r.stopCPU())
 	if *r.set.trace {
 		fmt.Fprint(os.Stderr, r.Reg.Snapshot().Text())
 	}

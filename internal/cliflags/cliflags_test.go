@@ -72,8 +72,6 @@ func TestMetricsFileAndListenEndpoint(t *testing.T) {
 		t.Fatal("-metrics must create a registry")
 	}
 	run.Reg.Counter("cliflags/test").Inc()
-	sp := run.Reg.StartSpan("cliflags/phase")
-	sp.End()
 
 	resp, err := http.Get("http://" + run.srv.Addr().String() + "/healthz")
 	if err != nil {

@@ -36,8 +36,9 @@ func ParetoPoints(pts []CostARD) []CostARD {
 	return out
 }
 
-// BruteForce exhaustively enumerates every repeater assignment (and, in
-// sizing mode, every driver assignment), evaluates each with the
+// BruteForce exhaustively enumerates every repeater assignment (in
+// sizing mode, every driver assignment, and with WireWidths, every
+// width on every edge of positive length), evaluates each with the
 // independent linear-time ARD algorithm, and returns the exact Pareto
 // frontier. It is exponential and exists to verify Theorem 4.1 on small
 // instances; keep the number of insertion points below ~8.
@@ -72,18 +73,44 @@ func BruteForce(rt *topo.Rooted, tech buslib.Tech, opt Options) []CostARD {
 	if opt.SizeDrivers {
 		srcs = rt.Tree.Sources()
 	}
+	// A width on a zero-length edge changes nothing, so only edges of
+	// positive length are enumerated.
+	var edges []int
+	if len(opt.WireWidths) > 0 {
+		for e := 0; e < rt.Tree.NumEdges(); e++ {
+			if rt.Tree.Edge(e).Length > 0 {
+				edges = append(edges, e)
+			}
+		}
+	}
 
 	var pts []CostARD
+	var evalWidths func(k int, asg rctree.Assignment, cost float64)
+	evalWidths = func(k int, asg rctree.Assignment, cost float64) {
+		if k == len(edges) {
+			pts = append(pts, evalOne(rt, tech, asg, cost, opt))
+			return
+		}
+		length := rt.Tree.Edge(edges[k]).Length
+		for _, w := range opt.WireWidths {
+			na := asg.Clone()
+			if na.Widths == nil {
+				na.Widths = map[int]float64{}
+			}
+			na.Widths[edges[k]] = w
+			evalWidths(k+1, na, cost+(w-1)*length*opt.WireCostPerUm)
+		}
+	}
 	var recurse func(i int, asg rctree.Assignment, cost float64)
 	evalDrivers := func(asg rctree.Assignment, cost float64) {
 		if !opt.SizeDrivers {
-			pts = append(pts, evalOne(rt, tech, asg, cost, opt))
+			evalWidths(0, asg, cost)
 			return
 		}
 		var rec func(j int, asg rctree.Assignment, cost float64)
 		rec = func(j int, asg rctree.Assignment, cost float64) {
 			if j == len(srcs) {
-				pts = append(pts, evalOne(rt, tech, asg, cost, opt))
+				evalWidths(0, asg, cost)
 				return
 			}
 			for _, drv := range tech.Drivers {

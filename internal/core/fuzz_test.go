@@ -18,6 +18,7 @@ const (
 	fuzzAllowInverting
 	fuzzIncludeSelf
 	fuzzNaivePruner
+	fuzzWireWidths
 	fuzzOptionMixes
 )
 
@@ -25,13 +26,24 @@ const (
 // input, so every input runs in milliseconds.
 const bruteForceBudget = 20000
 
+// maxWidthCombos bounds the DP, not the oracle: under wire sizing its
+// sets grow like len(widths)^edges, and without this bound input seed
+// 40 with bits 0b100000 spends seconds in the DP where BruteForce takes
+// milliseconds.
+const maxWidthCombos = 1 << 7
+
+// The width option sets and wire costs the width bit draws from.
+var (
+	fuzzWidthSets = [][]float64{{1, 2}, {1, 2, 3}}
+	fuzzWireCosts = []float64{0, 1e-4, 1e-3}
+)
+
 // FuzzOptimizeAgainstBruteForce is the fuzzed form of Theorem 4.1: on a
 // small random net (at most 6 insertion points) under any exact option
 // mix, the DP suite must equal the exhaustive Pareto frontier. The input
 // is a seed plus option bits for Repeaters, SizeDrivers, AllowInverting,
-// IncludeSelf and the naive pruner; the seed corpus holds one entry per
-// mix, so plain `go test` checks every mix. Wire widths are out of
-// scope: BruteForce does not enumerate them.
+// IncludeSelf, the naive pruner and wire widths; the seed corpus holds
+// one entry per mix, so plain `go test` checks every mix.
 func FuzzOptimizeAgainstBruteForce(f *testing.F) {
 	for bits := 0; bits < fuzzOptionMixes; bits++ {
 		f.Add(int64(1000+bits), uint8(bits))
@@ -54,13 +66,17 @@ func FuzzOptimizeAgainstBruteForce(f *testing.F) {
 			r := rand.New(rand.NewSource(s))
 			tr := smallNet(r, 6)
 			tech = fuzzTech(r, opt)
-			if enumerationSize(tr, tech, opt) <= bruteForceBudget {
+			if bits&fuzzWireWidths != 0 {
+				opt.WireWidths = fuzzWidthSets[r.Intn(len(fuzzWidthSets))]
+				opt.WireCostPerUm = fuzzWireCosts[r.Intn(len(fuzzWireCosts))]
+			}
+			if enumerationSize(tr, tech, opt) <= bruteForceBudget && widthCombos(tr, opt) <= maxWidthCombos {
 				rt = tr.RootAt(testnet.RootTerminal(tr))
 			}
 		}
 		res, err := core.Optimize(rt, tech, opt)
 		if err != nil {
-			t.Fatalf("seed %d bits %05b: %v", seed, bits, err)
+			t.Fatalf("seed %d bits %06b: %v", seed, bits, err)
 		}
 		frontiersEqual(t, "fuzz", res.Suite, core.BruteForce(rt, tech, opt))
 	})
@@ -87,7 +103,7 @@ func fuzzTech(r *rand.Rand, opt core.Options) buslib.Tech {
 // enumerationSize counts the assignments BruteForce visits: every
 // repeater choice (none, or an allowed type in each distinct
 // orientation) at every insertion point, times every driver choice at
-// every source under SizeDrivers.
+// every source under SizeDrivers, times the width combinations.
 func enumerationSize(tr *topo.Tree, tech buslib.Tech, opt core.Options) float64 {
 	choices := 1
 	if opt.Repeaters {
@@ -105,5 +121,20 @@ func enumerationSize(tr *topo.Tree, tech buslib.Tech, opt core.Options) float64 
 	if opt.SizeDrivers {
 		n *= math.Pow(float64(len(tech.Drivers)), float64(len(tr.Sources())))
 	}
-	return n
+	return n * widthCombos(tr, opt)
+}
+
+// widthCombos counts BruteForce's width assignments: every width option
+// on every edge of positive length.
+func widthCombos(tr *topo.Tree, opt core.Options) float64 {
+	if len(opt.WireWidths) == 0 {
+		return 1
+	}
+	edges := 0
+	for e := 0; e < tr.NumEdges(); e++ {
+		if tr.Edge(e).Length > 0 {
+			edges++
+		}
+	}
+	return math.Pow(float64(len(opt.WireWidths)), float64(edges))
 }

@@ -70,12 +70,12 @@ type Options struct {
 	// the (rare, but possible; see the paper's footnote 13) exponential
 	// growth of the PWL solution space on adversarial inputs.
 	MaxSolutions int
-	// Obs, when non-nil, receives detailed instrumentation: the
-	// "msri/solve" phase span, per-node solution-set-size histograms
-	// before and after pruning, PWL segment-count histograms, and the
-	// run's Stats counters (solutions created, prune calls and drops
-	// keyed by pruner kind, max set size), added once when the run ends
-	// or aborts. A nil Obs keeps the hot paths allocation-free.
+	// Obs, when non-nil, receives detailed instrumentation: per-node
+	// solution-set-size histograms before and after pruning, PWL
+	// segment-count histograms, and the run's Stats counters (solutions
+	// created, prune calls and drops keyed by pruner kind, max set size),
+	// added once when the run ends or aborts. A nil Obs keeps the hot
+	// paths allocation-free.
 	Obs *obs.Registry
 	// Context, when non-nil, is polled at every node visit and prune
 	// call; once it is canceled or past its deadline the run unwinds and
@@ -182,6 +182,11 @@ func Optimize(rt *topo.Rooted, tech buslib.Tech, opt Options) (*Result, error) {
 	if opt.CoarseEps < 0 || math.IsNaN(opt.CoarseEps) || math.IsInf(opt.CoarseEps, 0) {
 		return nil, fmt.Errorf("core: CoarseEps %v must be a finite non-negative number", opt.CoarseEps)
 	}
+	for _, w := range opt.WireWidths {
+		if !(w > 0) || math.IsInf(w, 1) {
+			return nil, fmt.Errorf("core: wire width %v must be a finite positive number", w)
+		}
+	}
 	d := &dp{rt: rt, tech: tech, opt: opt, ctx: opt.Context, tr: opt.Trace, tags: opt.TraceArgs}
 	if opt.Profile {
 		d.lp = NewLifecycleProfile()
@@ -202,7 +207,6 @@ func Optimize(rt *topo.Rooted, tech buslib.Tech, opt Options) (*Result, error) {
 			reg.Gauge("core/max_set_size").SetMax(int64(d.stats.MaxSetSize))
 		}()
 	}
-	defer opt.Obs.StartSpan("msri/solve").End()
 	// Root: single child (root is a leaf terminal).
 	children := rt.Children[rt.Root]
 	if len(children) != 1 {

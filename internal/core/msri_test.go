@@ -380,6 +380,22 @@ func TestWireSizingReconstruction(t *testing.T) {
 	}
 }
 
+// TestWireWidthsRejectBadValues: a width that is not finite and
+// positive is a configuration error. Left through, a negative width
+// panics in the PWL shift and a zero width makes every wire free of
+// resistance, so the DP runs until its deadline.
+func TestWireWidthsRejectBadValues(t *testing.T) {
+	r := rand.New(rand.NewSource(1012))
+	tr := smallNet(r, 4)
+	tech := testnet.RandTech(r, 1, 0)
+	rt := tr.RootAt(testnet.RootTerminal(tr))
+	for _, widths := range [][]float64{{0}, {-1}, {math.Inf(1)}, {math.NaN()}, {1, 0}, {1, -2}} {
+		if _, err := core.Optimize(rt, tech, core.Options{Repeaters: true, WireWidths: widths}); err == nil {
+			t.Errorf("WireWidths %v accepted", widths)
+		}
+	}
+}
+
 // TestErrorCases verifies input validation.
 func TestErrorCases(t *testing.T) {
 	tech := buslib.Default()

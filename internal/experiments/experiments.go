@@ -15,12 +15,12 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"time"
 
 	"msrnet/internal/ard"
 	"msrnet/internal/buslib"
 	"msrnet/internal/core"
 	"msrnet/internal/netgen"
-	"msrnet/internal/obs"
 	"msrnet/internal/rctree"
 	"msrnet/internal/topo"
 )
@@ -40,20 +40,11 @@ type NetResult struct {
 	// Repeater insertion results.
 	RepSuite core.Suite
 
-	// Obs is the per-net instrumentation registry: the phase spans
-	// "net/base_ard", "net/sizing" and "net/repeaters", plus the core DP
-	// and ARD metrics of the runs underneath them.
-	Obs *obs.Registry
+	// Wall seconds of the two uninstrumented optimize calls: Table IV's
+	// "driver sizing" and "repeater insertion" columns.
+	SizingSec float64
+	RepSec    float64
 }
-
-// SizingSeconds returns the wall time of the driver-sizing phase
-// (Table IV's "driver sizing" column), read from the "net/sizing" span.
-func (n NetResult) SizingSeconds() float64 { return n.Obs.SpanSeconds("net/sizing") }
-
-// RepSeconds returns the wall time of the repeater-insertion phase
-// (Table IV's "repeater insertion" column), from the "net/repeaters"
-// span.
-func (n NetResult) RepSeconds() float64 { return n.Obs.SpanSeconds("net/repeaters") }
 
 // DSMin returns the minimum diameter achievable by sizing and its cost
 // (driver costs only; the min-cost baseline spends Pins units on 1X
@@ -105,34 +96,30 @@ func RunNet(seed int64, pins int, tech buslib.Tech) (NetResult, error) {
 // RunTopology runs both optimization modes on an existing topology.
 func RunTopology(tr *topo.Tree, tech buslib.Tech, seed int64, pins int) (NetResult, error) {
 	rt := tr.RootAt(tr.Terminals()[0])
-	reg := obs.New()
 	res := NetResult{
 		Seed:      seed,
 		Pins:      pins,
 		Insertion: len(tr.Insertions()),
 		WireUm:    tr.TotalWireLength(),
 		BaseCost:  float64(pins),
-		Obs:       reg,
 	}
-	baseSpan := reg.StartSpan("net/base_ard")
 	base := rctree.NewNet(rt, tech, rctree.Assignment{})
-	res.BaseARD = ard.Compute(base, ard.Options{Obs: reg}).ARD
-	baseSpan.End()
+	res.BaseARD = ard.Compute(base, ard.Options{}).ARD
 
-	szSpan := reg.StartSpan("net/sizing")
-	sz, err := optimize(rt, tech, core.Options{SizeDrivers: true, Obs: reg})
+	start := time.Now()
+	sz, err := optimize(rt, tech, core.Options{SizeDrivers: true})
 	if err != nil {
 		return res, fmt.Errorf("sizing: %w", err)
 	}
-	szSpan.End()
+	res.SizingSec = time.Since(start).Seconds()
 	res.SizingSuite = sz.Suite
 
-	repSpan := reg.StartSpan("net/repeaters")
-	rep, err := optimize(rt, tech, core.Options{Repeaters: true, Obs: reg})
+	start = time.Now()
+	rep, err := optimize(rt, tech, core.Options{Repeaters: true})
 	if err != nil {
 		return res, fmt.Errorf("repeaters: %w", err)
 	}
-	repSpan.End()
+	res.RepSec = time.Since(start).Seconds()
 	res.RepSuite = rep.Suite
 	return res, nil
 }
@@ -198,8 +185,8 @@ func accumulateTable2(pins int, results []NetResult) (Table2Row, error) {
 		row.RIMatch += match / nr.BaseCost
 		row.RIDiam += riD / nr.BaseARD
 		row.RICost += riC / nr.BaseCost
-		row.AvgDSSec += nr.SizingSeconds()
-		row.AvgRISec += nr.RepSeconds()
+		row.AvgDSSec += nr.SizingSec
+		row.AvgRISec += nr.RepSec
 		dsDiams = append(dsDiams, dsD/nr.BaseARD)
 		riDiams = append(riDiams, riD/nr.BaseARD)
 	}

@@ -52,6 +52,10 @@ func TestRunNetShape(t *testing.T) {
 	if match > riC {
 		t.Errorf("matching cost %g exceeds min-diameter cost %g", match, riC)
 	}
+	// Table IV's stopwatch timed both optimize calls.
+	if nr.SizingSec <= 0 || nr.RepSec <= 0 {
+		t.Errorf("run times not recorded: sizing %gs, repeaters %gs", nr.SizingSec, nr.RepSec)
+	}
 }
 
 func TestTable2RowNormalization(t *testing.T) {
@@ -199,6 +203,11 @@ func TestSpacingStudy(t *testing.T) {
 	}
 	if rows[1].RIDiam > rows[0].RIDiam+1e-9 {
 		t.Errorf("denser spacing worsened diameter: %+v", rows)
+	}
+	for _, r := range rows {
+		if r.AvgSec <= 0 {
+			t.Errorf("spacing %g µm: run time not recorded", r.SpacingUm)
+		}
 	}
 	if s := FormatSpacing(rows); !strings.Contains(s, "footnote 15") {
 		t.Error("spacing format")

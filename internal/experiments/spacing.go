@@ -4,12 +4,12 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"time"
 
 	"msrnet/internal/ard"
 	"msrnet/internal/buslib"
 	"msrnet/internal/core"
 	"msrnet/internal/netgen"
-	"msrnet/internal/obs"
 	"msrnet/internal/rctree"
 )
 
@@ -40,18 +40,16 @@ func SpacingStudy(pins, nets int, seed0 int64, tech buslib.Tech, spacings []floa
 			rt := tr.RootAt(tr.Terminals()[0])
 			base := rctree.NewNet(rt, tech, rctree.Assignment{})
 			baseARD := ard.Compute(base, ard.Options{}).ARD
-			reg := obs.New()
-			sp := reg.StartSpan("net/repeaters")
-			res, err := optimize(rt, tech, core.Options{Repeaters: true, Obs: reg})
+			start := time.Now()
+			res, err := optimize(rt, tech, core.Options{Repeaters: true})
 			if err != nil {
 				return nil, err
 			}
-			sp.End()
+			row.AvgSec += time.Since(start).Seconds()
 			best, err := res.Suite.MinARD()
 			if err != nil {
 				return nil, err
 			}
-			row.AvgSec += reg.SpanSeconds("net/repeaters")
 			row.AvgIns += float64(len(tr.Insertions()))
 			row.RIDiam += best.ARD / baseARD
 		}

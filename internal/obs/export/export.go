@@ -5,7 +5,7 @@
 // can be watched live instead of waiting for the exit snapshot.
 //
 // The exported values are exactly the msrnet-metrics/v1 Snapshot: every
-// counter, gauge, histogram and span of the registry appears under a
+// counter, gauge, histogram and window of the registry appears under a
 // deterministic Prometheus name (see PromName), so a scrape taken at
 // exit matches the final JSON snapshot field for field.
 package export
@@ -52,10 +52,8 @@ func PromName(name string) string {
 // WritePrometheus renders a snapshot in the Prometheus text exposition
 // format (version 0.0.4): counters as <name>_total, gauges as-is,
 // histograms with cumulative le-labelled buckets plus _sum and _count,
-// and the span tree flattened to msrnet_phase_seconds_total /
-// msrnet_phase_count_total series labelled by '/'-joined path. Output
-// is sorted by name, so successive scrapes of an idle registry are
-// byte-identical.
+// and windows as summaries. Output is sorted by name, so successive
+// scrapes of an idle registry are byte-identical.
 func WritePrometheus(w io.Writer, s obs.Snapshot) error {
 	for _, name := range sortedKeys(s.Counters) {
 		pn := PromName(name) + "_total"
@@ -89,10 +87,7 @@ func WritePrometheus(w io.Writer, s obs.Snapshot) error {
 			return err
 		}
 	}
-	if err := writeRuntime(w, s.Runtime); err != nil {
-		return err
-	}
-	return writeSpans(w, s.Spans)
+	return writeRuntime(w, s.Runtime)
 }
 
 // writeRuntime renders the Go runtime section (present only on
@@ -183,48 +178,6 @@ func writeHistogram(w io.Writer, name string, h obs.HistSnapshot) error {
 	}
 	if _, err := fmt.Fprintf(w, "%s_sum %s\n%s_count %d\n", pn, formatFloat(h.Sum), pn, h.Count); err != nil {
 		return err
-	}
-	return nil
-}
-
-func writeSpans(w io.Writer, spans []obs.SpanSnapshot) error {
-	type flat struct {
-		path    string
-		count   int64
-		seconds float64
-	}
-	var all []flat
-	var walk func(prefix string, spans []obs.SpanSnapshot)
-	walk = func(prefix string, spans []obs.SpanSnapshot) {
-		for _, sp := range spans {
-			path := sp.Name
-			if prefix != "" {
-				path = prefix + "/" + sp.Name
-			}
-			all = append(all, flat{path: path, count: sp.Count, seconds: sp.Seconds})
-			walk(path, sp.Children)
-		}
-	}
-	walk("", spans)
-	if len(all) == 0 {
-		return nil
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].path < all[j].path })
-	if _, err := fmt.Fprintf(w, "# TYPE %sphase_seconds_total counter\n", namePrefix); err != nil {
-		return err
-	}
-	for _, f := range all {
-		if _, err := fmt.Fprintf(w, "%sphase_seconds_total{path=%q} %s\n", namePrefix, f.path, formatFloat(f.seconds)); err != nil {
-			return err
-		}
-	}
-	if _, err := fmt.Fprintf(w, "# TYPE %sphase_count_total counter\n", namePrefix); err != nil {
-		return err
-	}
-	for _, f := range all {
-		if _, err := fmt.Fprintf(w, "%sphase_count_total{path=%q} %d\n", namePrefix, f.path, f.count); err != nil {
-			return err
-		}
 	}
 	return nil
 }

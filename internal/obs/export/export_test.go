@@ -23,9 +23,7 @@ func populated() *obs.Registry {
 	h.Observe(1)
 	h.Observe(3)
 	h.Observe(100)
-	sp := reg.StartSpan("msri/solve")
-	sp.End()
-	reg.StartSpan("msri").End()
+	reg.Window("svc/latency/solve/ok", 0, 0).Observe(7)
 	return reg
 }
 
@@ -45,8 +43,7 @@ func TestPromName(t *testing.T) {
 
 // TestWritePrometheusFormat checks the exposition rules that scrapers
 // depend on: typed families, _total counter suffix, cumulative
-// le-labelled buckets ending at +Inf == _count, and flattened span
-// series.
+// le-labelled buckets ending at +Inf == _count, and window summaries.
 func TestWritePrometheusFormat(t *testing.T) {
 	snap := populated().Snapshot()
 	var buf bytes.Buffer
@@ -67,9 +64,9 @@ func TestWritePrometheusFormat(t *testing.T) {
 		`msrnet_core_pwl_segments_bucket{le="+Inf"} 3`,
 		"msrnet_core_pwl_segments_sum 104",
 		"msrnet_core_pwl_segments_count 3",
-		`msrnet_phase_count_total{path="msri"} 1`,
-		`msrnet_phase_count_total{path="msri/solve"} 1`,
-		`msrnet_phase_seconds_total{path="msri/solve"}`,
+		"# TYPE msrnet_svc_latency_solve_ok summary",
+		`msrnet_svc_latency_solve_ok{quantile="0.5"}`,
+		"msrnet_svc_latency_solve_ok_count 1",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q:\n%s", want, out)

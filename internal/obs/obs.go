@@ -1,8 +1,10 @@
 // Package obs is the zero-dependency observability substrate of the
 // repository: structured counters, gauges and histograms (all atomic, so
 // concurrent jobs sharing one registry record without locks on the hot
-// path), hierarchical phase spans with wall-time accumulation, and
-// JSON/text snapshots for machine-readable performance tracking.
+// path), sliding-window latency histograms, and JSON/text snapshots for
+// machine-readable performance tracking. Intervals are timed elsewhere:
+// the ring tracer (obs/trace) records the batch timeline and the
+// per-trace span index (obs/spans) times each daemon job.
 //
 // The paper's value is its complexity claims — the linear-time ARD of
 // Fig. 2 and a pruned PWL dynamic program whose practical cost is
@@ -23,16 +25,14 @@ import (
 	"sync/atomic"
 )
 
-// Registry is a named set of metrics plus a span tree. All methods are
-// safe for concurrent use and nil-safe (a nil *Registry records
-// nothing).
+// Registry is a named set of metrics. All methods are safe for
+// concurrent use and nil-safe (a nil *Registry records nothing).
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
 	windows  map[string]*WindowHist
-	spans    spanNode
 
 	// runtimeOn makes snapshots carry a RuntimeSnapshot (EnableRuntime).
 	runtimeOn bool

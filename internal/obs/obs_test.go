@@ -8,7 +8,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 // TestConcurrentCountersAndHistograms hammers one counter, one gauge and
@@ -73,48 +72,6 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 }
 
-// TestSpanTreeNesting checks that '/'-separated paths build the expected
-// tree and that repeated spans accumulate.
-func TestSpanTreeNesting(t *testing.T) {
-	reg := New()
-	outer := reg.StartSpan("msri")
-	for i := 0; i < 3; i++ {
-		inner := reg.StartSpan("msri/solve")
-		time.Sleep(time.Millisecond)
-		inner.End()
-	}
-	reg.StartSpan("msri/report").End()
-	outer.End()
-
-	snap := reg.Snapshot()
-	if len(snap.Spans) != 1 || snap.Spans[0].Name != "msri" {
-		t.Fatalf("root spans = %+v", snap.Spans)
-	}
-	root := snap.Spans[0]
-	if root.Count != 1 {
-		t.Errorf("msri count = %d", root.Count)
-	}
-	if len(root.Children) != 2 {
-		t.Fatalf("children = %+v", root.Children)
-	}
-	// Insertion order is preserved: solve ended first.
-	if root.Children[0].Name != "solve" || root.Children[0].Count != 3 {
-		t.Errorf("solve child = %+v", root.Children[0])
-	}
-	if root.Children[1].Name != "report" || root.Children[1].Count != 1 {
-		t.Errorf("report child = %+v", root.Children[1])
-	}
-	if root.Children[0].Seconds < 0.003 {
-		t.Errorf("solve accumulated %.6fs, want ≥ 3ms", root.Children[0].Seconds)
-	}
-	if got := reg.SpanSeconds("msri/solve"); got != root.Children[0].Seconds {
-		t.Errorf("SpanSeconds = %g, want %g", got, root.Children[0].Seconds)
-	}
-	if got := reg.SpanSeconds("no/such/span"); got != 0 {
-		t.Errorf("missing span seconds = %g", got)
-	}
-}
-
 // TestSnapshotJSONRoundTrip serializes a populated snapshot and decodes
 // it back; the decoded struct must match field for field.
 func TestSnapshotJSONRoundTrip(t *testing.T) {
@@ -124,8 +81,6 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	h := reg.Histogram("core/pwl_segments", []float64{1, 2, 4})
 	h.Observe(1)
 	h.Observe(3)
-	reg.StartSpan("a/b").End()
-	reg.StartSpan("a").End()
 
 	snap := reg.Snapshot()
 	if snap.Schema != MetricsSchema {
@@ -148,9 +103,8 @@ func TestTextReport(t *testing.T) {
 	reg := New()
 	reg.Counter("ard/runs").Inc()
 	reg.Histogram("core/set_size/post_prune", nil).Observe(5)
-	reg.StartSpan("msri/solve").End()
 	text := reg.Snapshot().Text()
-	for _, want := range []string{"phase spans:", "msri", "solve", "ard/runs", "core/set_size/post_prune"} {
+	for _, want := range []string{"counters:", "ard/runs", "histograms:", "core/set_size/post_prune"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("text report missing %q:\n%s", want, text)
 		}
@@ -163,15 +117,11 @@ func TestNilSafety(t *testing.T) {
 	reg.Counter("x").Add(3)
 	reg.Gauge("x").SetMax(3)
 	reg.Histogram("x", nil).Observe(3)
-	reg.StartSpan("x").End()
 	if got := reg.Counter("x").Value(); got != 0 {
 		t.Errorf("nil counter value = %d", got)
 	}
-	if got := reg.SpanSeconds("x"); got != 0 {
-		t.Errorf("nil span seconds = %g", got)
-	}
 	snap := reg.Snapshot()
-	if len(snap.Counters) != 0 || len(snap.Spans) != 0 {
+	if len(snap.Counters) != 0 || len(snap.Histograms) != 0 {
 		t.Errorf("nil snapshot non-empty: %+v", snap)
 	}
 	if err := reg.WriteMetricsFile(""); err != nil {
@@ -179,56 +129,16 @@ func TestNilSafety(t *testing.T) {
 	}
 }
 
-// TestConcurrentSpans exercises the span tree under concurrency (for
-// -race); counts must add up.
-func TestConcurrentSpans(t *testing.T) {
-	reg := New()
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				sp := reg.StartSpan("net/sizing")
-				sp.End()
-			}
-		}()
-	}
-	wg.Wait()
-	snap := reg.Snapshot()
-	if len(snap.Spans) != 1 || len(snap.Spans[0].Children) != 1 {
-		t.Fatalf("span tree shape: %+v", snap.Spans)
-	}
-	if got := snap.Spans[0].Children[0].Count; got != 8*200 {
-		t.Errorf("span count = %d, want %d", got, 8*200)
-	}
-}
-
-// TestSnapshotDeterministic: sibling spans render in first-End order
-// (not map order), and two snapshots of the same quiescent registry
-// serialize to byte-identical JSON — the property the benchreport
-// baselines and the Prometheus exposition rely on.
+// TestSnapshotDeterministic: two snapshots of the same quiescent
+// registry serialize to byte-identical JSON — the property the
+// benchreport baselines and the Prometheus exposition rely on.
 func TestSnapshotDeterministic(t *testing.T) {
 	reg := New()
 	// Deliberately non-lexicographic recording order.
-	for _, path := range []string{"run/zeta", "run/alpha", "run/mid", "run/alpha"} {
-		sp := reg.StartSpan(path)
-		sp.End()
+	for _, name := range []string{"run/zeta", "run/alpha", "run/mid", "run/alpha"} {
+		reg.Counter(name).Inc()
 	}
-	reg.Counter("solutions").Add(7)
 	reg.Histogram("set_size", []float64{1, 4, 16}).ObserveInt(3)
-
-	snap := reg.Snapshot()
-	if len(snap.Spans) != 1 {
-		t.Fatalf("span roots = %+v", snap.Spans)
-	}
-	var order []string
-	for _, c := range snap.Spans[0].Children {
-		order = append(order, c.Name)
-	}
-	if want := []string{"zeta", "alpha", "mid"}; !reflect.DeepEqual(order, want) {
-		t.Errorf("sibling order = %v, want first-End order %v", order, want)
-	}
 
 	var a, b bytes.Buffer
 	if err := reg.Snapshot().WriteJSON(&a); err != nil {

@@ -2,31 +2,32 @@ package obs
 
 import (
 	"fmt"
-	"os"
 	"runtime"
 	"runtime/pprof"
 
 	"msrnet/internal/atomicfile"
 )
 
-// StartCPUProfile begins a CPU profile into path and returns the stop
-// function. With an empty path it is a no-op and the returned stop does
-// nothing, so callers can defer unconditionally.
-func StartCPUProfile(path string) (stop func(), err error) {
+// StartCPUProfile begins a CPU profile for path and returns the stop
+// function. The profile streams into a temp file next to path, and stop
+// renames it into place, so path holds a complete profile or nothing.
+// With an empty path it is a no-op and the returned stop does nothing,
+// so callers can defer unconditionally.
+func StartCPUProfile(path string) (stop func() error, err error) {
 	if path == "" {
-		return func() {}, nil
+		return func() error { return nil }, nil
 	}
-	f, err := os.Create(path)
+	f, err := atomicfile.Create(path)
 	if err != nil {
 		return nil, err
 	}
 	if err := pprof.StartCPUProfile(f); err != nil {
-		f.Close()
+		f.Abort()
 		return nil, fmt.Errorf("obs: starting CPU profile: %w", err)
 	}
-	return func() {
+	return func() error {
 		pprof.StopCPUProfile()
-		f.Close()
+		return f.Commit()
 	}, nil
 }
 

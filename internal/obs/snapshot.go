@@ -22,7 +22,6 @@ type Snapshot struct {
 	Gauges     map[string]int64            `json:"gauges,omitempty"`
 	Histograms map[string]HistSnapshot     `json:"histograms,omitempty"`
 	Quantiles  map[string]QuantileSnapshot `json:"quantiles,omitempty"`
-	Spans      []SpanSnapshot              `json:"spans,omitempty"`
 	// Runtime carries the Go runtime's state (goroutines, heap, GC
 	// pause and scheduling-latency quantiles) when the registry has
 	// EnableRuntime set — daemons only; batch/bench registries stay
@@ -56,14 +55,6 @@ type HistSnapshot struct {
 	Count  int64     `json:"count"`
 	Sum    float64   `json:"sum"`
 	Max    *float64  `json:"max,omitempty"`
-}
-
-// SpanSnapshot is one node of the serialized span tree.
-type SpanSnapshot struct {
-	Name     string         `json:"name"`
-	Count    int64          `json:"count"`
-	Seconds  float64        `json:"seconds"`
-	Children []SpanSnapshot `json:"children,omitempty"`
 }
 
 // Snapshot copies the registry's current state. Safe to call while other
@@ -121,29 +112,11 @@ func (r *Registry) Snapshot() Snapshot {
 			}
 		}
 	}
-	snap.Spans = snapshotSpans(&r.spans)
 	if r.runtimeOn {
 		rt := ReadRuntime()
 		snap.Runtime = &rt
 	}
 	return snap
-}
-
-func snapshotSpans(n *spanNode) []SpanSnapshot {
-	out := make([]SpanSnapshot, 0, len(n.order))
-	for _, name := range n.order {
-		c := n.children[name]
-		out = append(out, SpanSnapshot{
-			Name:     name,
-			Count:    c.count,
-			Seconds:  c.total.Seconds(),
-			Children: snapshotSpans(c),
-		})
-	}
-	if len(out) == 0 {
-		return nil
-	}
-	return out
 }
 
 // WriteJSON writes the snapshot as indented JSON.
@@ -153,15 +126,11 @@ func (s Snapshot) WriteJSON(w io.Writer) error {
 	return enc.Encode(s)
 }
 
-// Text renders the snapshot as a human-readable report: the span tree
-// (indented by nesting) followed by counters, gauges and histogram
-// summaries, each sorted by name.
+// Text renders the snapshot as a human-readable report: counters,
+// gauges, window quantiles, runtime state and histogram summaries, each
+// sorted by name.
 func (s Snapshot) Text() string {
 	var b strings.Builder
-	if len(s.Spans) > 0 {
-		b.WriteString("phase spans:\n")
-		writeSpanText(&b, s.Spans, 1)
-	}
 	if len(s.Counters) > 0 {
 		b.WriteString("counters:\n")
 		for _, name := range sortedKeys(s.Counters) {
@@ -219,14 +188,6 @@ func (s Snapshot) Text() string {
 		}
 	}
 	return b.String()
-}
-
-func writeSpanText(b *strings.Builder, spans []SpanSnapshot, depth int) {
-	for _, sp := range spans {
-		fmt.Fprintf(b, "%s%-*s %6d× %12.6fs\n",
-			strings.Repeat("  ", depth), 46-2*depth, sp.Name, sp.Count, sp.Seconds)
-		writeSpanText(b, sp.Children, depth+1)
-	}
 }
 
 func sortedKeys(m map[string]int64) []string {

@@ -2,11 +2,11 @@
 // explicit spans with parent links, process identity and wall-anchored
 // monotonic timestamps, kept in a bounded per-trace index so every
 // daemon can answer "what did THIS trace do here?" long after the job
-// finished. It layers over (and deliberately does not replace) the
-// aggregate span tree in package obs: obs.Registry answers "where does
-// wall time go in general", this package answers "where did trace X's
-// time go", and the fleet collector (internal/spancollect) stitches the
-// per-process answers into one timeline. See DESIGN.md §15.
+// finished. The ring tracer (obs/trace) keeps the batch timeline and
+// the obs.Registry windows answer "how long do jobs take in general";
+// this package answers "where did trace X's time go", and the fleet
+// collector (internal/spancollect) stitches the per-process answers
+// into one timeline. See DESIGN.md §15.
 //
 // Like every obs handle, a nil *Index and a nil *Span are valid,
 // allocation-free sinks, so instrumented paths pay a nil check when

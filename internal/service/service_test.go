@@ -244,6 +244,30 @@ func TestPanicIsolation(t *testing.T) {
 	}
 }
 
+// TestBadWireWidthsAreBadRequest: a wire width that is not finite and
+// positive is the submitter's error, answered at once. A negative width
+// used to panic the worker (an internal error) and a zero width ran the
+// DP until the job deadline.
+func TestBadWireWidthsAreBadRequest(t *testing.T) {
+	reg := obs.New()
+	d := newTestDaemon(t, Config{Workers: 1, JobTimeout: 20 * time.Second, Reg: reg})
+	net := testNetFile(t, 7, 6)
+	for _, widths := range [][]float64{{-1}, {0}, {1, -2}, {1, 0}} {
+		resp, serr := d.Submit(context.Background(), oneJobRequest(Job{
+			ID: "widths", Mode: "msri", Net: net, Options: JobOptions{WireWidths: widths},
+		}))
+		if serr != nil {
+			t.Fatalf("widths %v: whole-request rejection: %v", widths, serr)
+		}
+		if r := resp.Results[0]; r.Status != StatusError || r.Code != ErrBadRequest {
+			t.Errorf("widths %v: status %q code %q (%s), want error %q", widths, r.Status, r.Code, r.Error, ErrBadRequest)
+		}
+	}
+	if got := reg.Counter("svc/panics_recovered").Value(); got != 0 {
+		t.Errorf("panics_recovered = %d, want 0", got)
+	}
+}
+
 // TestCacheHitAndEviction checks the LRU: a repeated job is served from
 // cache byte-for-byte, and capacity overflow evicts the oldest entry.
 func TestCacheHitAndEviction(t *testing.T) {
