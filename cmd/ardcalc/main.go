@@ -11,6 +11,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -19,6 +20,7 @@ import (
 	"msrnet/internal/ard"
 	"msrnet/internal/cliflags"
 	"msrnet/internal/netio"
+	"msrnet/internal/obs"
 	"msrnet/internal/rctree"
 	"msrnet/internal/spef"
 	"msrnet/internal/topo"
@@ -27,14 +29,15 @@ import (
 	"strings"
 )
 
+var (
+	netPath  = flag.String("net", "", "net file (required)")
+	matrix   = flag.Bool("matrix", false, "print the full source×sink augmented delay matrix")
+	check    = flag.Bool("check", false, "cross-check against the naive O(s·n) computation")
+	self     = flag.Bool("self", false, "include u==v source/sink pairs")
+	obsFlags = cliflags.Register(flag.CommandLine, cliflags.Caps{})
+)
+
 func main() {
-	var (
-		netPath = flag.String("net", "", "net file (required)")
-		matrix  = flag.Bool("matrix", false, "print the full source×sink augmented delay matrix")
-		check   = flag.Bool("check", false, "cross-check against the naive O(s·n) computation")
-		self    = flag.Bool("self", false, "include u==v source/sink pairs")
-	)
-	obsFlags := cliflags.Register(flag.CommandLine, cliflags.Caps{})
 	flag.Parse()
 	if *netPath == "" {
 		fmt.Fprintln(os.Stderr, "ardcalc: -net is required")
@@ -42,21 +45,20 @@ func main() {
 	}
 	run, err := obsFlags.Start()
 	if err != nil {
-		fatal(err)
+		cliflags.Fatal("ardcalc", err)
 	}
-	defer func() {
-		if err := run.Close(); err != nil {
-			fatal(err)
-		}
-	}()
+	run.Finish("ardcalc", analyze(run.Reg))
+}
 
+// analyze computes the net's ARD and prints the requested views.
+func analyze(reg *obs.Registry) error {
 	tr, tech, err := loadNet(*netPath)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	rt := tr.RootAt(tr.Terminals()[0])
 	net := rctree.NewNet(rt, tech, rctree.Assignment{})
-	res := ard.Compute(net, ard.Options{IncludeSelf: *self, Obs: run.Reg})
+	res := ard.Compute(net, ard.Options{IncludeSelf: *self, Obs: reg})
 	name := func(id int) string {
 		if id < 0 {
 			return "-"
@@ -71,8 +73,7 @@ func main() {
 		diff := res.ARD - naive
 		fmt.Printf("naive ARD = %.6f ns (difference %.3g)\n", naive, diff)
 		if diff > 1e-9 || diff < -1e-9 {
-			fmt.Fprintln(os.Stderr, "ardcalc: MISMATCH between linear and naive ARD")
-			os.Exit(1)
+			return errors.New("MISMATCH between linear and naive ARD")
 		}
 	}
 	if *matrix {
@@ -98,6 +99,7 @@ func main() {
 		}
 		w.Flush()
 	}
+	return nil
 }
 
 // loadNet reads a net file: JSON from this repo's netgen, or an IEEE 1481
@@ -116,5 +118,3 @@ func loadNet(path string) (*topo.Tree, buslib.Tech, error) {
 	}
 	return netio.Load(path)
 }
-
-func fatal(err error) { cliflags.Fatal("ardcalc", err) }

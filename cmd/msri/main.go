@@ -11,7 +11,7 @@
 //	msri -net net10.json -mode both            # sizing + repeaters jointly
 //	msri -net net10.json -svg out.svg          # render the chosen solution
 //	msri -net net10.json -assign out.json      # dump the chosen assignment
-//	msri -net net10.json -metrics m.json       # JSON metrics snapshot (counters + histograms)
+//	msri -net net10.json -metrics m.json       # JSON metrics snapshot (counters + gauges)
 //	msri -net net10.json -trace                # metrics report on stderr
 //	msri -net net10.json -trace-events t.json  # Perfetto-loadable per-node DP timeline
 //	msri -net net10.json -solveprof p.json     # candidate-lifecycle waste profile (see msrnetprof)
@@ -32,6 +32,8 @@ import (
 	"msrnet/internal/cliflags"
 	"msrnet/internal/core"
 	"msrnet/internal/netio"
+	"msrnet/internal/obs"
+	"msrnet/internal/obs/trace"
 	"msrnet/internal/rctree"
 	"msrnet/internal/report"
 	"msrnet/internal/solveprof"
@@ -44,20 +46,21 @@ import (
 	"encoding/json"
 )
 
+var (
+	netPath  = flag.String("net", "", "net file (required)")
+	mode     = flag.String("mode", "repeaters", "repeaters | sizing | both")
+	spec     = flag.Float64("spec", 0, "timing spec in ns (0 = report full suite, choose min-ARD)")
+	svgOut   = flag.String("svg", "", "write an SVG of the chosen solution")
+	asgOut   = flag.String("assign", "", "write the chosen assignment as JSON")
+	widths   = flag.String("widths", "", "comma-separated wire width options (enables wire sizing)")
+	pruner   = flag.String("pruner", "divide", "divide | naive (MFS implementation)")
+	stats    = flag.Bool("stats", false, "print dynamic-programming statistics")
+	profOut  = flag.String("solveprof", "", "write a msrnet-solveprof/v1 candidate-lifecycle profile to this file (analyze with msrnetprof)")
+	rep      = flag.Bool("report", false, "print a before/after summary and placement report for the chosen solution")
+	obsFlags = cliflags.Register(flag.CommandLine, cliflags.Caps{TraceEvents: true, Listen: true})
+)
+
 func main() {
-	var (
-		netPath = flag.String("net", "", "net file (required)")
-		mode    = flag.String("mode", "repeaters", "repeaters | sizing | both")
-		spec    = flag.Float64("spec", 0, "timing spec in ns (0 = report full suite, choose min-ARD)")
-		svgOut  = flag.String("svg", "", "write an SVG of the chosen solution")
-		asgOut  = flag.String("assign", "", "write the chosen assignment as JSON")
-		widths  = flag.String("widths", "", "comma-separated wire width options (enables wire sizing)")
-		pruner  = flag.String("pruner", "divide", "divide | naive (MFS implementation)")
-		stats   = flag.Bool("stats", false, "print dynamic-programming statistics")
-		profOut = flag.String("solveprof", "", "write a msrnet-solveprof/v1 candidate-lifecycle profile to this file (analyze with msrnetprof)")
-		rep     = flag.Bool("report", false, "print a before/after summary and placement report for the chosen solution")
-	)
-	obsFlags := cliflags.Register(flag.CommandLine, cliflags.Caps{TraceEvents: true, Listen: true})
 	flag.Parse()
 	if *netPath == "" {
 		fmt.Fprintln(os.Stderr, "msri: -net is required")
@@ -65,18 +68,16 @@ func main() {
 	}
 	run, err := obsFlags.Start()
 	if err != nil {
-		fatal(err)
+		cliflags.Fatal("msri", err)
 	}
-	reg, tcr := run.Reg, run.Tracer
-	defer func() {
-		if err := run.Close(); err != nil {
-			fatal(err)
-		}
-	}()
+	run.Finish("msri", optimize(run.Reg, run.Tracer))
+}
 
+// optimize loads the net, runs the DP and writes the requested outputs.
+func optimize(reg *obs.Registry, tcr *trace.Tracer) error {
 	tr, tech, err := loadNet(*netPath)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	opt := core.Options{Obs: reg, Trace: tcr}
 	switch *mode {
@@ -88,7 +89,7 @@ func main() {
 		opt.Repeaters = true
 		opt.SizeDrivers = true
 	default:
-		fatal(fmt.Errorf("unknown mode %q", *mode))
+		return fmt.Errorf("unknown mode %q", *mode)
 	}
 	switch *pruner {
 	case "divide":
@@ -96,14 +97,14 @@ func main() {
 	case "naive":
 		opt.Pruner = core.PruneNaive
 	default:
-		fatal(fmt.Errorf("unknown pruner %q", *pruner))
+		return fmt.Errorf("unknown pruner %q", *pruner)
 	}
 	opt.Profile = *profOut != ""
 	if *widths != "" {
 		for _, tok := range strings.Split(*widths, ",") {
 			w, err := strconv.ParseFloat(strings.TrimSpace(tok), 64)
 			if err != nil {
-				fatal(fmt.Errorf("bad width %q: %w", tok, err))
+				return fmt.Errorf("bad width %q: %w", tok, err)
 			}
 			opt.WireWidths = append(opt.WireWidths, w)
 		}
@@ -117,11 +118,11 @@ func main() {
 
 	res, err := core.Optimize(rt, tech, opt)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	fmt.Println("cost/ARD tradeoff suite:")
 	if err := report.Suite(os.Stdout, res.Suite); err != nil {
-		fatal(err)
+		return err
 	}
 	if *stats {
 		fmt.Printf("stats: %d solutions created, max set %d, max PWL segments %d, %d prunes, %d dropped\n",
@@ -130,7 +131,7 @@ func main() {
 	if *profOut != "" {
 		p := solveprof.FromResult(res, "msri", *netPath)
 		if err := p.WriteFile(*profOut); err != nil {
-			fatal(err)
+			return err
 		}
 		fmt.Printf("solveprof: %d born, %d died, waste ratio %d‰ -> %s\n",
 			p.Totals.Born, p.Totals.Deaths, p.Waste.SegOpsPerMille, *profOut)
@@ -138,14 +139,14 @@ func main() {
 
 	best, err := res.Suite.MinARD()
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	var chosen core.RootSolution
 	if *spec > 0 {
 		sol, ok := res.Suite.MinCost(*spec)
 		if !ok {
-			fatal(fmt.Errorf("no solution meets ARD ≤ %g ns (best achievable %.4f)",
-				*spec, best.ARD))
+			return fmt.Errorf("no solution meets ARD ≤ %g ns (best achievable %.4f)",
+				*spec, best.ARD)
 		}
 		chosen = sol
 		fmt.Printf("min-cost solution meeting ARD ≤ %g: cost %.1f, ARD %.4f ns, %d repeaters\n",
@@ -158,7 +159,7 @@ func main() {
 
 	if *rep {
 		if err := report.Summary(os.Stdout, rt, tech, chosen); err != nil {
-			fatal(err)
+			return err
 		}
 	}
 	asg := chosen.Assignment()
@@ -169,7 +170,7 @@ func main() {
 			return enc.Encode(netio.EncodeAssignment(chosen.Cost, chosen.ARD, asg))
 		})
 		if err != nil {
-			fatal(err)
+			return err
 		}
 	}
 	if *svgOut != "" {
@@ -183,9 +184,10 @@ func main() {
 			}, svgplot.Style{ShowLabels: true})
 		})
 		if err != nil {
-			fatal(err)
+			return err
 		}
 	}
+	return nil
 }
 
 // loadNet reads a net file: JSON from this repo's netgen, or an IEEE 1481
@@ -204,5 +206,3 @@ func loadNet(path string) (*topo.Tree, buslib.Tech, error) {
 	}
 	return netio.Load(path)
 }
-
-func fatal(err error) { cliflags.Fatal("msri", err) }

@@ -48,40 +48,46 @@ import (
 	"msrnet/internal/service"
 )
 
-func main() {
-	var (
-		listen     = flag.String("listen", ":8383", "serve /v1/jobs plus /metrics, /debug/vars, /debug/pprof and /healthz on this address")
-		workers    = flag.Int("workers", 0, "worker-pool size (0 = GOMAXPROCS); each worker runs one job at a time, and each job's DP runs on one goroutine")
-		queue      = flag.Int("queue", 0, "bounded job-queue depth (0 = 4×workers); full queue rejects with HTTP 429")
-		jobTimeout = flag.Duration("job-timeout", 30*time.Second, "per-job deadline (0 = none)")
-		cacheSize  = flag.Int("cache", 512, "LRU result-cache capacity in entries (0 = disable caching)")
-		drain      = flag.Duration("drain-timeout", 30*time.Second, "how long a graceful shutdown may spend draining in-flight jobs")
-		drainGrace = flag.Duration("drain-grace", 0, "on SIGTERM, keep serving for this long with /readyz failing (and admission closed) before the listener stops, so load balancers drain traffic first")
-		headroom   = flag.Duration("degrade-headroom", 0, "deadline slice reserved for the coarse (ε-relaxed) fallback (0 = job-timeout/4, negative = disable degradation)")
-		coarseEps  = flag.Float64("coarse-eps", 0, "dominance relaxation of degraded runs in ns (0 = default 0.02)")
-		shedMargin = flag.Duration("shed-margin", 0, "shed jobs at dequeue whose remaining deadline is below this margin (0 = disable shedding)")
-		faults     = flag.String("faults", "", "fault-injection spec for chaos testing, e.g. 'svc/worker:panic:0.1;svc/cache/get:error:0.5' (also via "+faultinject.EnvFaults+")")
-		faultSeed  = flag.Int64("fault-seed", 1, "fault-injection RNG seed (also via "+faultinject.EnvSeed+")")
-		recEvery   = flag.Duration("recorder-interval", recorder.DefaultInterval, "flight-recorder sampling interval; the in-memory ring keeps the last "+fmt.Sprint(recorder.DefaultCapacity)+" samples")
-		clAddr     = flag.String("cluster-addr", "", "advertised base URL of THIS daemon (e.g. http://10.0.0.1:8383); enables fleet clustering — gossip membership, the cluster-wide shard cache and work-stealing (DESIGN.md §13)")
-		clPeers    = flag.String("cluster-peers", "", "comma-separated base URLs of seed peers to join through (any live member works)")
-		clEvery    = flag.Duration("cluster-interval", time.Second, "gossip round period")
-		clHops     = flag.Int("cluster-forward-hops", 0, "work-stealing forward-chain cap (0 = default 2)")
-		pmDir      = flag.String("postmortem-dir", "", "write postmortem bundles into this directory on worker panics, SLO burns, SIGQUIT or POST /debug/dump (empty = ring-only recorder, no bundles)")
-		pmKeep     = flag.Int("postmortem-keep", recorder.DefaultMaxBundles, "bounded bundle retention: the oldest bundles beyond this count are deleted")
-		sloSpec    = flag.String("slo", "", "SLO burn-rate rules, semicolon-separated, e.g. 'e2e-slow:p99:e2e/ok:500ms:1m;err-fast:error_rate:0.01:1m'; a firing rule triggers a postmortem bundle")
-		walDir     = flag.String("wal-dir", "", "write-ahead job log directory: accepted jobs and results are persisted and replayed on restart, so a crash or kill -9 loses nothing (empty = no durability, as before)")
-		walSegment = flag.Int64("wal-segment-bytes", 0, "WAL segment rotation size in bytes (0 = default 8 MiB)")
-		tenantsCfg = flag.String("tenants", "", "msrnet-tenants/v1 config file: enables API-key auth, per-tenant quotas (queue slots, nets/sec, per-tenant Retry-After on 429) and weighted fair-share dispatch (DESIGN.md §14)")
-	)
-	obsFlags := cliflags.Register(flag.CommandLine,
+var (
+	listen     = flag.String("listen", ":8383", "serve /v1/jobs plus /metrics, /debug/vars, /debug/pprof and /healthz on this address")
+	workers    = flag.Int("workers", 0, "worker-pool size (0 = GOMAXPROCS); each worker runs one job at a time, and each job's DP runs on one goroutine")
+	queue      = flag.Int("queue", 0, "bounded job-queue depth (0 = 4×workers); full queue rejects with HTTP 429")
+	jobTimeout = flag.Duration("job-timeout", 30*time.Second, "per-job deadline (0 = none)")
+	cacheSize  = flag.Int("cache", 512, "LRU result-cache capacity in entries (0 = disable caching)")
+	drain      = flag.Duration("drain-timeout", 30*time.Second, "how long a graceful shutdown may spend draining in-flight jobs")
+	drainGrace = flag.Duration("drain-grace", 0, "on SIGTERM, keep serving for this long with /readyz failing (and admission closed) before the listener stops, so load balancers drain traffic first")
+	headroom   = flag.Duration("degrade-headroom", 0, "deadline slice reserved for the coarse (ε-relaxed) fallback (0 = job-timeout/4, negative = disable degradation)")
+	coarseEps  = flag.Float64("coarse-eps", 0, "dominance relaxation of degraded runs in ns (0 = default 0.02)")
+	shedMargin = flag.Duration("shed-margin", 0, "shed jobs at dequeue whose remaining deadline is below this margin (0 = disable shedding)")
+	faults     = flag.String("faults", "", "fault-injection spec for chaos testing, e.g. 'svc/worker:panic:0.1;svc/cache/get:error:0.5' (also via "+faultinject.EnvFaults+")")
+	faultSeed  = flag.Int64("fault-seed", 1, "fault-injection RNG seed (also via "+faultinject.EnvSeed+")")
+	recEvery   = flag.Duration("recorder-interval", recorder.DefaultInterval, "flight-recorder sampling interval; the in-memory ring keeps the last "+fmt.Sprint(recorder.DefaultCapacity)+" samples")
+	clAddr     = flag.String("cluster-addr", "", "advertised base URL of THIS daemon (e.g. http://10.0.0.1:8383); enables fleet clustering — gossip membership, the cluster-wide shard cache and work-stealing (DESIGN.md §13)")
+	clPeers    = flag.String("cluster-peers", "", "comma-separated base URLs of seed peers to join through (any live member works)")
+	clEvery    = flag.Duration("cluster-interval", time.Second, "gossip round period")
+	clHops     = flag.Int("cluster-forward-hops", 0, "work-stealing forward-chain cap (0 = default 2)")
+	pmDir      = flag.String("postmortem-dir", "", "write postmortem bundles into this directory on worker panics, SLO burns, SIGQUIT or POST /debug/dump (empty = ring-only recorder, no bundles)")
+	pmKeep     = flag.Int("postmortem-keep", recorder.DefaultMaxBundles, "bounded bundle retention: the oldest bundles beyond this count are deleted")
+	sloSpec    = flag.String("slo", "", "SLO burn-rate rules, semicolon-separated, e.g. 'e2e-slow:p99:e2e/ok:500ms:1m;err-fast:error_rate:0.01:1m'; a firing rule triggers a postmortem bundle")
+	walDir     = flag.String("wal-dir", "", "write-ahead job log directory: accepted jobs and results are persisted and replayed on restart, so a crash or kill -9 loses nothing (empty = no durability, as before)")
+	walSegment = flag.Int64("wal-segment-bytes", 0, "WAL segment rotation size in bytes (0 = default 8 MiB)")
+	tenantsCfg = flag.String("tenants", "", "msrnet-tenants/v1 config file: enables API-key auth, per-tenant quotas (queue slots, nets/sec, per-tenant Retry-After on 429) and weighted fair-share dispatch (DESIGN.md §14)")
+	obsFlags   = cliflags.Register(flag.CommandLine,
 		cliflags.Caps{AlwaysRegistry: true, AlwaysTracer: true, TraceEvents: true})
-	flag.Parse()
+)
 
+func main() {
+	flag.Parse()
 	run, err := obsFlags.Start()
 	if err != nil {
-		fatal(err)
+		cliflags.Fatal("msrnetd", err)
 	}
+	run.Finish("msrnetd", serve(run))
+}
+
+// serve runs the daemon until SIGINT or SIGTERM, then drains it. It
+// returns a failed setup step or a drain that did not finish.
+func serve(run *cliflags.Run) error {
 	// Every log line carries the request-scoped trace_id/job_id when its
 	// context has one (see internal/obs/reqctx).
 	logger := reqctx.Logger(slog.NewTextHandler(os.Stderr, nil))
@@ -90,12 +96,12 @@ func main() {
 	// injector at all (nil is inert), so production pays nothing.
 	inj, err := faultinject.FromEnv(run.Reg)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if *faults != "" {
 		inj = faultinject.New(*faultSeed, run.Reg)
 		if err := inj.Configure(*faults); err != nil {
-			fatal(err)
+			return err
 		}
 	}
 	if inj.Active() > 0 {
@@ -104,7 +110,7 @@ func main() {
 
 	rules, err := recorder.ParseRules(*sloSpec)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	// The flight recorder is always on: daemon snapshots carry Go
 	// runtime state, and the ring is live at GET /debug/recorder even
@@ -166,7 +172,7 @@ func main() {
 	if *tenantsCfg != "" {
 		tenants, err = service.LoadTenants(*tenantsCfg)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		logger.Info("multi-tenant admission enabled", "tenants", len(tenants), "config", *tenantsCfg)
 	}
@@ -182,7 +188,7 @@ func main() {
 			Faults: inj, Reg: run.Reg, Spans: spanIdx, Logger: logger,
 		})
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		logger.Info("job WAL open", "dir", *walDir, "replayed", len(replay.Entries),
 			"torn", replay.Torn, "torn_tail", replay.TornTail)
@@ -219,7 +225,7 @@ func main() {
 	}
 	srv, err := service.Serve(*listen, d, logger)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
 	// SIGQUIT forces a postmortem bundle and keeps serving; SIGINT and
@@ -263,16 +269,9 @@ func main() {
 	if cerr := store.Close(); cerr != nil {
 		logger.Error("wal close", "err", cerr)
 	}
-	if err != nil {
-		logger.Error("shutdown", "err", err)
-		rec.Stop()
-		run.Close()
-		os.Exit(1)
-	}
 	rec.Stop()
-	if err := run.Close(); err != nil {
-		fatal(err)
+	if err != nil {
+		return fmt.Errorf("shutdown: %w", err)
 	}
+	return nil
 }
-
-func fatal(err error) { cliflags.Fatal("msrnetd", err) }

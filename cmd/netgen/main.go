@@ -22,32 +22,32 @@ import (
 	"msrnet/internal/spef"
 )
 
-func main() {
-	var (
-		pins    = flag.Int("pins", 10, "number of terminals")
-		seed    = flag.Int64("seed", 1, "random seed")
-		grid    = flag.Float64("grid", 10000, "grid side in µm")
-		spacing = flag.Float64("spacing", 800, "max insertion-point spacing in µm (0 = none)")
-		steiner = flag.Bool("steiner", true, "use iterated 1-Steiner routing (false = MST)")
-		sources = flag.Float64("sources", 1.0, "fraction of terminals acting as sources")
-		sinks   = flag.Float64("sinks", 1.0, "fraction of terminals acting as sinks")
-		name    = flag.String("name", "", "net name (default derived from parameters)")
-		out     = flag.String("out", "", "output file (default stdout)")
-		spefOut = flag.String("spef", "", "also write the parasitics as SPEF to this path")
-	)
-	obsFlags := cliflags.Register(flag.CommandLine, cliflags.Caps{})
-	flag.Parse()
+var (
+	pins     = flag.Int("pins", 10, "number of terminals")
+	seed     = flag.Int64("seed", 1, "random seed")
+	grid     = flag.Float64("grid", 10000, "grid side in µm")
+	spacing  = flag.Float64("spacing", 800, "max insertion-point spacing in µm (0 = none)")
+	steiner  = flag.Bool("steiner", true, "use iterated 1-Steiner routing (false = MST)")
+	sources  = flag.Float64("sources", 1.0, "fraction of terminals acting as sources")
+	sinks    = flag.Float64("sinks", 1.0, "fraction of terminals acting as sinks")
+	name     = flag.String("name", "", "net name (default derived from parameters)")
+	out      = flag.String("out", "", "output file (default stdout)")
+	spefOut  = flag.String("spef", "", "also write the parasitics as SPEF to this path")
+	obsFlags = cliflags.Register(flag.CommandLine, cliflags.Caps{})
+)
 
+func main() {
+	flag.Parse()
 	run, err := obsFlags.Start()
 	if err != nil {
-		fatal(err)
+		cliflags.Fatal("netgen", err)
 	}
-	defer func() {
-		if err := run.Close(); err != nil {
-			fatal(err)
-		}
-	}()
+	run.Finish("netgen", generate())
+}
 
+// generate builds the random net and writes it, and its SPEF view when
+// asked.
+func generate() error {
 	p := netgen.Params{
 		Terminals:             *pins,
 		GridUm:                *grid,
@@ -58,7 +58,7 @@ func main() {
 	}
 	tr, err := netgen.Generate(*seed, p)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	netName := *name
 	if netName == "" {
@@ -70,19 +70,18 @@ func main() {
 		err = netio.Write(os.Stdout, netio.Encode(netName, tr, buslib.Default()))
 	}
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if *spefOut != "" {
 		err := atomicfile.Write(*spefOut, func(w io.Writer) error {
 			return spef.Write(w, netName, tr, buslib.Default())
 		})
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		fmt.Fprintln(os.Stderr, "wrote", *spefOut)
 	}
 	fmt.Fprintf(os.Stderr, "generated %s: %d terminals, %d insertion points, %.0f µm wire\n",
 		netName, len(tr.Terminals()), len(tr.Insertions()), tr.TotalWireLength())
+	return nil
 }
-
-func fatal(err error) { cliflags.Fatal("netgen", err) }

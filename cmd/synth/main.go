@@ -28,29 +28,29 @@ import (
 	"msrnet/internal/svgplot"
 )
 
-func main() {
-	var (
-		netPath = flag.String("net", "", "net file supplying terminals and technology")
-		pins    = flag.Int("pins", 9, "random terminals when no -net is given")
-		seed    = flag.Int64("seed", 1, "random seed for -pins mode")
-		grid    = flag.Float64("grid", 10000, "grid side (µm) for -pins mode")
-		spacing = flag.Float64("spacing", 800, "insertion-point spacing in µm")
-		out     = flag.String("out", "", "write the synthesized net as JSON")
-		svgOut  = flag.String("svg", "", "write an SVG of the best solution")
-	)
-	obsFlags := cliflags.Register(flag.CommandLine, cliflags.Caps{})
-	flag.Parse()
+var (
+	netPath  = flag.String("net", "", "net file supplying terminals and technology")
+	pins     = flag.Int("pins", 9, "random terminals when no -net is given")
+	seed     = flag.Int64("seed", 1, "random seed for -pins mode")
+	grid     = flag.Float64("grid", 10000, "grid side (µm) for -pins mode")
+	spacing  = flag.Float64("spacing", 800, "insertion-point spacing in µm")
+	out      = flag.String("out", "", "write the synthesized net as JSON")
+	svgOut   = flag.String("svg", "", "write an SVG of the best solution")
+	obsFlags = cliflags.Register(flag.CommandLine, cliflags.Caps{})
+)
 
+func main() {
+	flag.Parse()
 	run, err := obsFlags.Start()
 	if err != nil {
-		fatal(err)
+		cliflags.Fatal("synth", err)
 	}
-	defer func() {
-		if err := run.Close(); err != nil {
-			fatal(err)
-		}
-	}()
+	run.Finish("synth", synthesize())
+}
 
+// synthesize picks the terminals, synthesizes and optimizes the best
+// topology, and writes the requested outputs.
+func synthesize() error {
 	var (
 		pts   []geom.Point
 		terms []buslib.Terminal
@@ -59,7 +59,7 @@ func main() {
 	if *netPath != "" {
 		tr, fileTech, err := netio.Load(*netPath)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		tech = fileTech
 		for _, id := range tr.Terminals() {
@@ -80,11 +80,11 @@ func main() {
 
 	res, err := ptree.TimingDriven(pts, terms, tech, *spacing, ptree.Options{})
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	best, err := res.Suite.MinARD()
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	fmt.Printf("synthesized topology: %.0f µm wire (1-Steiner baseline %.0f µm)\n",
 		res.WirelengthUm, baseLen)
@@ -93,7 +93,7 @@ func main() {
 
 	if *out != "" {
 		if err := netio.Save(*out, "synthesized", res.Tree, tech); err != nil {
-			fatal(err)
+			return err
 		}
 		fmt.Println("wrote", *out)
 	}
@@ -110,10 +110,9 @@ func main() {
 			}, svgplot.Style{ShowLabels: true})
 		})
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		fmt.Println("wrote", *svgOut)
 	}
+	return nil
 }
-
-func fatal(err error) { cliflags.Fatal("synth", err) }

@@ -1,6 +1,7 @@
 // Package atomicfile writes artifact files crash-consistently: a file
 // written through Write, or streamed into a File and committed, is
-// complete or absent, never truncated — so a reader of a postmortem
+// complete or absent, never truncated, and a directory filled through
+// WriteDir appears whole or not at all — so a reader of a postmortem
 // bundle, a bench report, a solve profile, a trace, a metrics dump, a
 // CPU profile or a saved net never sees half of one.
 package atomicfile
@@ -31,6 +32,33 @@ func Write(path string, write func(io.Writer) error) error {
 		return err
 	}
 	return f.Commit()
+}
+
+// WriteDir makes the directory path appear whole or not at all: fill
+// populates a temp directory beside path (its files written through
+// Write, so they are durable), which is renamed to path and made
+// durable by an fsync of the parent. The temp name starts with a dot,
+// so scans for path's name prefix skip it. On any error before the
+// rename the temp directory is removed and path does not appear.
+func WriteDir(path string, fill func(dir string) error) error {
+	tmp, err := os.MkdirTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp*")
+	if err != nil {
+		return err
+	}
+	// MkdirTemp creates the directory 0700; path is 0755, as the
+	// files Write commits are 0644.
+	err = os.Chmod(tmp, 0o755)
+	if err == nil {
+		err = fill(tmp)
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.RemoveAll(tmp)
+		return err
+	}
+	return syncDir(filepath.Dir(path))
 }
 
 // File is a temp file that becomes path only on Commit, for writers

@@ -70,12 +70,12 @@ type Options struct {
 	// the (rare, but possible; see the paper's footnote 13) exponential
 	// growth of the PWL solution space on adversarial inputs.
 	MaxSolutions int
-	// Obs, when non-nil, receives detailed instrumentation: per-node
-	// solution-set-size histograms before and after pruning, PWL
-	// segment-count histograms, and the run's Stats counters (solutions
-	// created, prune calls and drops keyed by pruner kind, max set size),
-	// added once when the run ends or aborts. A nil Obs keeps the hot
-	// paths allocation-free.
+	// Obs, when non-nil, receives the run's Stats as core/* series —
+	// solutions created, prune calls and drops keyed by pruner kind,
+	// nodes visited and the sum of their final set sizes (counters), the
+	// largest set and the largest PWL segment count (max gauges) — added
+	// once when the run ends or aborts. A nil Obs keeps the hot paths
+	// allocation-free.
 	Obs *obs.Registry
 	// Context, when non-nil, is polled at every node visit and prune
 	// call; once it is canceled or past its deadline the run unwinds and
@@ -192,19 +192,17 @@ func Optimize(rt *topo.Rooted, tech buslib.Tech, opt Options) (*Result, error) {
 		d.lp = NewLifecycleProfile()
 	}
 	if reg := opt.Obs; reg != nil {
-		d.ins = instr{
-			preSize:  reg.Histogram("core/set_size/pre_prune", nil),
-			postSize: reg.Histogram("core/set_size/post_prune", nil),
-			segs:     reg.Histogram("core/pwl_segments", nil),
-		}
-		// The counters are views of Stats, published once per run —
+		// The series are views of Stats, published once per run —
 		// deferred, so an aborted run still reports its partial work.
 		kind := opt.Pruner.String()
 		defer func() {
 			reg.Counter("core/solutions_created").Add(int64(d.stats.SolutionsCreated))
 			reg.Counter("core/prune/" + kind + "/calls").Add(int64(d.stats.PruneCalls))
 			reg.Counter("core/prune/" + kind + "/drops").Add(int64(d.stats.Dropped))
+			reg.Counter("core/nodes_visited").Add(int64(d.stats.NodesVisited))
+			reg.Counter("core/set_size_sum").Add(int64(d.stats.SetSizeSum))
 			reg.Gauge("core/max_set_size").SetMax(int64(d.stats.MaxSetSize))
+			reg.Gauge("core/max_pwl_segments").SetMax(int64(d.stats.MaxSegs))
 		}()
 	}
 	// Root: single child (root is a leaf terminal).
@@ -333,21 +331,12 @@ type dp struct {
 	tech buslib.Tech
 	opt  Options
 	ctx  context.Context // nil disables deadline polling
-	ins  instr
 	tr   *trace.Tracer
 	tags []trace.Arg       // identity args appended to every trace event
 	lp   *LifecycleProfile // candidate-lifecycle collector; nil unless Options.Profile
 
 	stats Stats
 	err   error // first error; once set the walk unwinds
-}
-
-// instr holds the per-event histogram handles resolved once per run
-// (all nil, and their updates no-ops, when Options.Obs is nil).
-type instr struct {
-	preSize  *obs.Histogram
-	postSize *obs.Histogram
-	segs     *obs.Histogram
 }
 
 // aborted polls the run's context (the periodic deadline check of the
@@ -364,21 +353,17 @@ func (d *dp) aborted() bool {
 }
 
 // built is the one report of a freshly constructed candidate batch for
-// node v, scanned once: it feeds Stats.SolutionsCreated and MaxSegs,
-// the core/pwl_segments histogram and, under Options.Profile, the birth
-// stamps. sols[:passed] is an already-stamped set carried unchanged
-// into the batch (an insertion point's unbuffered candidates): it
-// counts as created again but is not born again.
+// node v, scanned once: it feeds Stats.SolutionsCreated and MaxSegs
+// and, under Options.Profile, the birth stamps. sols[:passed] is an
+// already-stamped set carried unchanged into the batch (an insertion
+// point's unbuffered candidates): it counts as created again but is not
+// born again.
 func (d *dp) built(sols []*Solution, passed int, class string, v int) {
 	d.stats.SolutionsCreated += len(sols)
 	var segSum int64
 	for i, s := range sols {
 		a, b := s.A.NumSegs(), s.D.NumSegs()
 		d.stats.MaxSegs = max(d.stats.MaxSegs, a, b)
-		if d.ins.segs != nil {
-			d.ins.segs.ObserveInt(a)
-			d.ins.segs.ObserveInt(b)
-		}
 		if d.lp != nil && i >= passed {
 			s.lc = &lifeRec{class: class, node: v, segs: int32(a + b), depth: lineageDepth(s)}
 			segSum += int64(a + b)
@@ -427,12 +412,11 @@ func (d *dp) prune(sols []*Solution, site string, v int) []*Solution {
 	var out []*Solution
 	switch d.opt.Pruner {
 	case PruneNaive:
-		out = pruneNaive(sols, d.opt.CoarseEps, d.lp)
-		sortSolutions(out)
+		out = pruneNaive(sortedCopy(sols), d.opt.CoarseEps, d.lp)
 	case PruneOff:
 		out = sols
 	default:
-		out = pruneDivide(sols, d.opt.CoarseEps, d.lp)
+		out = pruneDivide(sortedCopy(sols), d.opt.CoarseEps, d.lp)
 	}
 	drops := len(sols) - len(out)
 	d.stats.PruneCalls++
@@ -444,8 +428,6 @@ func (d *dp) prune(sols []*Solution, site string, v int) []*Solution {
 	ps.Calls++
 	ps.Drops += drops
 	d.stats.PruneSites[site] = ps
-	d.ins.preSize.ObserveInt(len(sols))
-	d.ins.postSize.ObserveInt(len(out))
 	d.lp.pruned(out, v, drops)
 	d.formed(v, len(out))
 	if d.opt.MaxSolutions > 0 && len(out) > d.opt.MaxSolutions && d.err == nil {

@@ -8,13 +8,12 @@ import (
 	"msrnet/internal/core"
 	"msrnet/internal/netgen"
 	"msrnet/internal/obs"
+	"msrnet/internal/obs/trace"
 )
 
 // TestOptimizeRecordsMetrics is the end-to-end instrumentation check:
-// a 16-terminal net run with a live registry must produce
-// non-zero prune counters, solution-set-size histograms and PWL-segment
-// histograms, the "msri/solve" span, and a snapshot consistent with the
-// returned Stats.
+// a 16-terminal run with a live registry must publish every core/*
+// series as a view of the returned Stats, with non-zero prune activity.
 func TestOptimizeRecordsMetrics(t *testing.T) {
 	tr, err := netgen.Generate(7, netgen.Defaults(16))
 	if err != nil {
@@ -30,42 +29,29 @@ func TestOptimizeRecordsMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
+	st := res.Stats
+	if st.PruneCalls == 0 || st.Dropped == 0 || st.MaxSegs == 0 {
+		t.Errorf("expected non-zero prune activity on a 16-terminal net: %+v", st)
+	}
 	snap := reg.Snapshot()
-	// Prune behavior (the Fig. 4 MFS): calls and drops must be observed.
-	if got := snap.Counters["core/prune/divide/calls"]; got != int64(res.Stats.PruneCalls) {
-		t.Errorf("prune calls counter = %d, stats say %d", got, res.Stats.PruneCalls)
-	}
-	if got := snap.Counters["core/prune/divide/drops"]; got != int64(res.Stats.Dropped) {
-		t.Errorf("prune drops counter = %d, stats say %d", got, res.Stats.Dropped)
-	}
-	if res.Stats.PruneCalls == 0 || res.Stats.Dropped == 0 {
-		t.Errorf("expected non-zero prune activity on a 16-terminal net: %+v", res.Stats)
-	}
-	if got := snap.Counters["core/solutions_created"]; got != int64(res.Stats.SolutionsCreated) {
-		t.Errorf("solutions counter = %d, stats say %d", got, res.Stats.SolutionsCreated)
-	}
-	// |S(v)| histograms before and after pruning.
-	for _, name := range []string{"core/set_size/pre_prune", "core/set_size/post_prune"} {
-		h, ok := snap.Histograms[name]
-		if !ok || h.Count == 0 {
-			t.Errorf("histogram %q missing or empty", name)
+	for name, want := range map[string]int{
+		"core/solutions_created":  st.SolutionsCreated,
+		"core/prune/divide/calls": st.PruneCalls,
+		"core/prune/divide/drops": st.Dropped,
+		"core/nodes_visited":      st.NodesVisited,
+		"core/set_size_sum":       st.SetSizeSum,
+	} {
+		if got := snap.Counters[name]; got != int64(want) {
+			t.Errorf("counter %s = %d, Stats say %d", name, got, want)
 		}
 	}
-	post := snap.Histograms["core/set_size/post_prune"]
-	if post.Max == nil || int(*post.Max) != res.Stats.MaxSetSize {
-		t.Errorf("post-prune max = %v, stats MaxSetSize = %d", post.Max, res.Stats.MaxSetSize)
-	}
-	if got := snap.Gauges["core/max_set_size"]; got != int64(res.Stats.MaxSetSize) {
-		t.Errorf("max set gauge = %d, stats say %d", got, res.Stats.MaxSetSize)
-	}
-	// PWL segment counts: non-empty and max consistent with Stats.
-	segs, ok := snap.Histograms["core/pwl_segments"]
-	if !ok || segs.Count == 0 {
-		t.Fatalf("pwl_segments histogram missing or empty")
-	}
-	if segs.Max == nil || int(*segs.Max) != res.Stats.MaxSegs {
-		t.Errorf("segment max = %v, stats MaxSegs = %d", segs.Max, res.Stats.MaxSegs)
+	for name, want := range map[string]int{
+		"core/max_set_size":     st.MaxSetSize,
+		"core/max_pwl_segments": st.MaxSegs,
+	} {
+		if got := snap.Gauges[name]; got != int64(want) {
+			t.Errorf("gauge %s = %d, Stats say %d", name, got, want)
+		}
 	}
 }
 
@@ -121,17 +107,20 @@ func TestOptimizeStatsConsistentAcrossPruners(t *testing.T) {
 	}
 }
 
-// TestAbortedRunPublishesPartialCounts: the core/* counters are read off
+// TestAbortedRunPublishesPartialCounts: the core/* series are read off
 // Stats when the run ends, and an aborted run must still publish the
-// work it did before the abort.
+// work it did before the abort. The aborted run returns no Stats, so
+// the node series are checked against the ring tracer's per-node
+// slices, which close at the same report that counts a node.
 func TestAbortedRunPublishesPartialCounts(t *testing.T) {
 	tr, err := netgen.Generate(1, netgen.Defaults(10))
 	if err != nil {
 		t.Fatal(err)
 	}
 	reg := obs.New()
+	tcr := trace.New(0)
 	_, err = core.Optimize(tr.RootAt(tr.Terminals()[0]), buslib.Default(),
-		core.Options{Repeaters: true, MaxSolutions: 8, Obs: reg})
+		core.Options{Repeaters: true, MaxSolutions: 8, Obs: reg, Trace: tcr})
 	if err == nil {
 		t.Fatal("MaxSolutions 8 did not abort the 10-pin run")
 	}
@@ -143,5 +132,32 @@ func TestAbortedRunPublishesPartialCounts(t *testing.T) {
 	}
 	if got := snap.Gauges["core/max_set_size"]; got <= 8 {
 		t.Errorf("max set gauge = %d, want the over-limit set size", got)
+	}
+	var nodes, setSum, maxSegs int64
+	for _, ev := range tcr.Events() {
+		switch ev.Name {
+		case "dp/leaf", "dp/steiner", "dp/insertion":
+			nodes++
+			for _, a := range ev.Args[:ev.NArgs] {
+				switch a.Key {
+				case "set":
+					setSum += a.Val
+				case "segs":
+					maxSegs = max(maxSegs, a.Val)
+				}
+			}
+		}
+	}
+	if nodes == 0 {
+		t.Fatal("aborted run traced no DP node")
+	}
+	if got := snap.Counters["core/nodes_visited"]; got != nodes {
+		t.Errorf("nodes visited counter = %d, traced %d node slices", got, nodes)
+	}
+	if got := snap.Counters["core/set_size_sum"]; got != setSum {
+		t.Errorf("set size sum counter = %d, traced set sizes sum to %d", got, setSum)
+	}
+	if got := snap.Gauges["core/max_pwl_segments"]; got < max(maxSegs, 1) {
+		t.Errorf("max segments gauge = %d, below the traced maximum %d", got, maxSegs)
 	}
 }

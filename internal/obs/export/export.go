@@ -5,7 +5,7 @@
 // can be watched live instead of waiting for the exit snapshot.
 //
 // The exported values are exactly the msrnet-metrics/v1 Snapshot: every
-// counter, gauge, histogram and window of the registry appears under a
+// counter, gauge and window of the registry appears under a
 // deterministic Prometheus name (see PromName), so a scrape taken at
 // exit matches the final JSON snapshot field for field.
 package export
@@ -50,9 +50,8 @@ func PromName(name string) string {
 }
 
 // WritePrometheus renders a snapshot in the Prometheus text exposition
-// format (version 0.0.4): counters as <name>_total, gauges as-is,
-// histograms with cumulative le-labelled buckets plus _sum and _count,
-// and windows as summaries. Output is sorted by name, so successive
+// format (version 0.0.4): counters as <name>_total, gauges as-is, and
+// windows as summaries. Output is sorted by name, so successive
 // scrapes of an idle registry are byte-identical.
 func WritePrometheus(w io.Writer, s obs.Snapshot) error {
 	for _, name := range sortedKeys(s.Counters) {
@@ -64,16 +63,6 @@ func WritePrometheus(w io.Writer, s obs.Snapshot) error {
 	for _, name := range sortedKeys(s.Gauges) {
 		pn := PromName(name)
 		if _, err := fmt.Fprintf(w, "# TYPE %s gauge\n%s %d\n", pn, pn, s.Gauges[name]); err != nil {
-			return err
-		}
-	}
-	hnames := make([]string, 0, len(s.Histograms))
-	for name := range s.Histograms {
-		hnames = append(hnames, name)
-	}
-	sort.Strings(hnames)
-	for _, name := range hnames {
-		if err := writeHistogram(w, name, s.Histograms[name]); err != nil {
 			return err
 		}
 	}
@@ -159,32 +148,6 @@ func writeQuantiles(w io.Writer, name string, q obs.QuantileSnapshot) error {
 	}
 	return nil
 }
-
-func writeHistogram(w io.Writer, name string, h obs.HistSnapshot) error {
-	pn := PromName(name)
-	if _, err := fmt.Fprintf(w, "# TYPE %s histogram\n", pn); err != nil {
-		return err
-	}
-	cum := int64(0)
-	for i, bound := range h.Bounds {
-		cum += h.Counts[i]
-		if _, err := fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", pn, formatBound(bound), cum); err != nil {
-			return err
-		}
-	}
-	// The overflow bucket makes the +Inf cumulative count equal Count.
-	if _, err := fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", pn, h.Count); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "%s_sum %s\n%s_count %d\n", pn, formatFloat(h.Sum), pn, h.Count); err != nil {
-		return err
-	}
-	return nil
-}
-
-// formatBound renders a bucket bound the way Prometheus clients
-// conventionally do (shortest decimal that round-trips).
-func formatBound(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
 func formatFloat(v float64) string {
 	switch {

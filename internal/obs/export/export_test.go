@@ -19,10 +19,6 @@ func populated() *obs.Registry {
 	reg.Counter("core/solutions_created").Add(120)
 	reg.Counter("core/prune/divide/calls").Add(7)
 	reg.Gauge("core/max_set_size").SetMax(42)
-	h := reg.Histogram("core/pwl_segments", []float64{1, 2, 4})
-	h.Observe(1)
-	h.Observe(3)
-	h.Observe(100)
 	reg.Window("svc/latency/solve/ok", 0, 0).Observe(7)
 	return reg
 }
@@ -42,8 +38,8 @@ func TestPromName(t *testing.T) {
 }
 
 // TestWritePrometheusFormat checks the exposition rules that scrapers
-// depend on: typed families, _total counter suffix, cumulative
-// le-labelled buckets ending at +Inf == _count, and window summaries.
+// depend on: typed families, _total counter suffix, and window
+// summaries.
 func TestWritePrometheusFormat(t *testing.T) {
 	snap := populated().Snapshot()
 	var buf bytes.Buffer
@@ -57,13 +53,6 @@ func TestWritePrometheusFormat(t *testing.T) {
 		"msrnet_core_prune_divide_calls_total 7",
 		"# TYPE msrnet_core_max_set_size gauge",
 		"msrnet_core_max_set_size 42",
-		"# TYPE msrnet_core_pwl_segments histogram",
-		`msrnet_core_pwl_segments_bucket{le="1"} 1`,
-		`msrnet_core_pwl_segments_bucket{le="2"} 1`,
-		`msrnet_core_pwl_segments_bucket{le="4"} 2`,
-		`msrnet_core_pwl_segments_bucket{le="+Inf"} 3`,
-		"msrnet_core_pwl_segments_sum 104",
-		"msrnet_core_pwl_segments_count 3",
 		"# TYPE msrnet_svc_latency_solve_ok summary",
 		`msrnet_svc_latency_solve_ok{quantile="0.5"}`,
 		"msrnet_svc_latency_solve_ok_count 1",
@@ -83,7 +72,7 @@ func TestWritePrometheusFormat(t *testing.T) {
 }
 
 // TestPrometheusMatchesSnapshot is the acceptance check: every counter,
-// gauge and histogram of the final JSON snapshot appears in the scrape
+// gauge and window of the final JSON snapshot appears in the scrape
 // with the same value.
 func TestPrometheusMatchesSnapshot(t *testing.T) {
 	reg := populated()
@@ -105,10 +94,10 @@ func TestPrometheusMatchesSnapshot(t *testing.T) {
 			t.Errorf("gauge %s: scrape missing %q", name, want)
 		}
 	}
-	for name, h := range snap.Histograms {
-		want := fmt.Sprintf("%s_count %d\n", PromName(name), h.Count)
+	for name, q := range snap.Quantiles {
+		want := fmt.Sprintf("%s_count %d\n", PromName(name), q.Count)
 		if !strings.Contains(out, want) {
-			t.Errorf("histogram %s: scrape missing %q", name, want)
+			t.Errorf("window %s: scrape missing %q", name, want)
 		}
 	}
 }

@@ -11,8 +11,9 @@ import (
 )
 
 // TestConcurrentCountersAndHistograms hammers one counter, one gauge and
-// one histogram from many goroutines; run with -race this doubles as the
-// data-race check for the atomic paths.
+// one window histogram, each looked up through the registry, from many
+// goroutines; run with -race this doubles as the data-race check for
+// the atomic paths.
 func TestConcurrentCountersAndHistograms(t *testing.T) {
 	reg := New()
 	const workers = 8
@@ -24,7 +25,7 @@ func TestConcurrentCountersAndHistograms(t *testing.T) {
 			defer wg.Done()
 			c := reg.Counter("c")
 			g := reg.Gauge("g")
-			h := reg.Histogram("h", nil)
+			h := reg.Window("h", 0, 0)
 			for i := 0; i < perWorker; i++ {
 				c.Inc()
 				g.SetMax(int64(w*perWorker + i))
@@ -39,36 +40,13 @@ func TestConcurrentCountersAndHistograms(t *testing.T) {
 	if got := reg.Gauge("g").Value(); got != workers*perWorker-1 {
 		t.Errorf("gauge max = %d, want %d", got, workers*perWorker-1)
 	}
-	h := reg.Histogram("h", nil)
-	if h.Count() != workers*perWorker {
-		t.Errorf("histogram count = %d, want %d", h.Count(), workers*perWorker)
-	}
-	if h.Max() != 99 {
-		t.Errorf("histogram max = %g, want 99", h.Max())
+	st := reg.Window("h", 0, 0).Stats()
+	if st.Count != workers*perWorker {
+		t.Errorf("window count = %d, want %d", st.Count, workers*perWorker)
 	}
 	wantSum := float64(workers) * perWorker / 100 * (99 * 100 / 2)
-	if math.Abs(h.Sum()-wantSum) > 1e-6 {
-		t.Errorf("histogram sum = %g, want %g", h.Sum(), wantSum)
-	}
-}
-
-func TestHistogramBuckets(t *testing.T) {
-	reg := New()
-	h := reg.Histogram("sizes", []float64{1, 4, 16})
-	for _, v := range []float64{0.5, 1, 2, 4, 5, 16, 17, 1000} {
-		h.Observe(v)
-	}
-	snap := reg.Snapshot()
-	hs := snap.Histograms["sizes"]
-	want := []int64{2, 2, 2, 2} // ≤1, ≤4, ≤16, overflow
-	if !reflect.DeepEqual(hs.Counts, want) {
-		t.Errorf("bucket counts = %v, want %v", hs.Counts, want)
-	}
-	if hs.Count != 8 {
-		t.Errorf("count = %d", hs.Count)
-	}
-	if hs.Max == nil || *hs.Max != 1000 {
-		t.Errorf("max = %v, want 1000", hs.Max)
+	if math.Abs(st.Sum-wantSum) > 1e-6 {
+		t.Errorf("window sum = %g, want %g", st.Sum, wantSum)
 	}
 }
 
@@ -78,9 +56,7 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	reg := New()
 	reg.Counter("core/prune/divide/calls").Add(7)
 	reg.Gauge("core/max_set_size").SetMax(42)
-	h := reg.Histogram("core/pwl_segments", []float64{1, 2, 4})
-	h.Observe(1)
-	h.Observe(3)
+	reg.Window("svc/latency/solve/ok", 0, 0).Observe(7)
 
 	snap := reg.Snapshot()
 	if snap.Schema != MetricsSchema {
@@ -102,9 +78,11 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 func TestTextReport(t *testing.T) {
 	reg := New()
 	reg.Counter("ard/runs").Inc()
-	reg.Histogram("core/set_size/post_prune", nil).Observe(5)
+	reg.Gauge("core/max_pwl_segments").SetMax(5)
+	reg.Window("svc/latency/solve/ok", 0, 0).Observe(7)
 	text := reg.Snapshot().Text()
-	for _, want := range []string{"counters:", "ard/runs", "histograms:", "core/set_size/post_prune"} {
+	for _, want := range []string{"counters:", "ard/runs", "gauges:", "core/max_pwl_segments",
+		"quantiles:", "svc/latency/solve/ok"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("text report missing %q:\n%s", want, text)
 		}
@@ -116,12 +94,12 @@ func TestNilSafety(t *testing.T) {
 	var reg *Registry
 	reg.Counter("x").Add(3)
 	reg.Gauge("x").SetMax(3)
-	reg.Histogram("x", nil).Observe(3)
+	reg.Window("x", 0, 0).Observe(3)
 	if got := reg.Counter("x").Value(); got != 0 {
 		t.Errorf("nil counter value = %d", got)
 	}
 	snap := reg.Snapshot()
-	if len(snap.Counters) != 0 || len(snap.Histograms) != 0 {
+	if len(snap.Counters) != 0 || len(snap.Gauges) != 0 || len(snap.Quantiles) != 0 {
 		t.Errorf("nil snapshot non-empty: %+v", snap)
 	}
 	if err := reg.WriteMetricsFile(""); err != nil {
@@ -138,7 +116,7 @@ func TestSnapshotDeterministic(t *testing.T) {
 	for _, name := range []string{"run/zeta", "run/alpha", "run/mid", "run/alpha"} {
 		reg.Counter(name).Inc()
 	}
-	reg.Histogram("set_size", []float64{1, 4, 16}).ObserveInt(3)
+	reg.Gauge("set_size").SetMax(3)
 
 	var a, b bytes.Buffer
 	if err := reg.Snapshot().WriteJSON(&a); err != nil {

@@ -66,12 +66,25 @@ type TriggerInfo struct {
 }
 
 // writeBundle captures everything into a fresh directory under cfg.Dir
-// and returns its path. Callers hold writeMu.
+// and returns its path. The bundle is filled under a temp name that
+// neither retention nor a bundle listing matches, and appears under its
+// own name whole or not at all. Callers hold writeMu.
 func (f *FlightRecorder) writeBundle(now time.Time, seq int64, reason, detail string) (string, error) {
-	dir := filepath.Join(f.cfg.Dir, fmt.Sprintf("%s%013d-%d-%s", bundlePrefix, now.UnixMilli(), seq, sanitize(reason)))
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return "", fmt.Errorf("recorder: creating bundle dir: %w", err)
+	if err := os.MkdirAll(f.cfg.Dir, 0o755); err != nil {
+		return "", fmt.Errorf("recorder: creating postmortem dir: %w", err)
 	}
+	path := filepath.Join(f.cfg.Dir, fmt.Sprintf("%s%013d-%d-%s", bundlePrefix, now.UnixMilli(), seq, sanitize(reason)))
+	err := atomicfile.WriteDir(path, func(dir string) error {
+		return f.fillBundle(dir, now, seq, reason, detail)
+	})
+	if err != nil {
+		return "", err
+	}
+	return path, nil
+}
+
+// fillBundle writes the bundle's files into dir, the manifest last.
+func (f *FlightRecorder) fillBundle(dir string, now time.Time, seq int64, reason, detail string) error {
 	man := Manifest{
 		Schema:  BundleSchema,
 		Trigger: TriggerInfo{Reason: reason, Detail: detail, TimeUnixMs: now.UnixMilli(), Seq: seq},
@@ -89,51 +102,49 @@ func (f *FlightRecorder) writeBundle(now time.Time, seq int64, reason, detail st
 
 	ringDump := ringDump{Schema: BundleSchema, IntervalMs: f.cfg.Interval.Milliseconds(), Samples: f.Samples(0)}
 	if err := keep(fileRecorder, writeJSONFile(filepath.Join(dir, fileRecorder), ringDump)); err != nil {
-		return "", err
+		return err
 	}
 	if err := keep(fileMetrics, writeJSONFile(filepath.Join(dir, fileMetrics), f.cfg.Reg.Snapshot())); err != nil {
-		return "", err
+		return err
 	}
 	if f.cfg.Tracer != nil {
 		if err := keep(fileTrace, f.cfg.Tracer.WriteFile(filepath.Join(dir, fileTrace))); err != nil {
-			return "", err
+			return err
 		}
 	}
 	if err := keep(fileGoroutines, writeGoroutines(filepath.Join(dir, fileGoroutines))); err != nil {
-		return "", err
+		return err
 	}
 	if err := keep(fileHeap, writeHeap(filepath.Join(dir, fileHeap))); err != nil {
-		return "", err
+		return err
 	}
 	f.mu.Lock()
 	jobs, clusterFn, tenantsFn, spansFn := f.jobs, f.cluster, f.tenants, f.spans
 	f.mu.Unlock()
 	if jobs != nil {
 		if err := keep(fileJobs, writeJSONFile(filepath.Join(dir, fileJobs), jobs())); err != nil {
-			return "", err
+			return err
 		}
 	}
 	if clusterFn != nil {
 		if err := keep(fileCluster, writeJSONFile(filepath.Join(dir, fileCluster), clusterFn())); err != nil {
-			return "", err
+			return err
 		}
 	}
 	if tenantsFn != nil {
 		if err := keep(fileTenants, writeJSONFile(filepath.Join(dir, fileTenants), tenantsFn())); err != nil {
-			return "", err
+			return err
 		}
 	}
 	if spansFn != nil {
 		if err := keep(fileSpans, writeJSONFile(filepath.Join(dir, fileSpans), spansFn())); err != nil {
-			return "", err
+			return err
 		}
 	}
-	// The manifest is written last: its durable rename is the bundle's
-	// commit point.
 	if err := writeJSONFile(filepath.Join(dir, fileManifest), man); err != nil {
-		return "", fmt.Errorf("recorder: writing manifest: %w", err)
+		return fmt.Errorf("recorder: writing manifest: %w", err)
 	}
-	return dir, nil
+	return nil
 }
 
 // ringDump is the recorder.json payload.

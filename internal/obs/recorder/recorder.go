@@ -84,7 +84,7 @@ type Config struct {
 type Sample struct {
 	TimeUnixMs int64 `json:"time_unix_ms"`
 	// Metrics is the full registry snapshot at the tick: counters,
-	// gauges (queue depth among them), histograms and window quantiles.
+	// gauges (queue depth among them) and window quantiles.
 	Metrics obs.Snapshot `json:"metrics"`
 	// Runtime is the Go runtime's state at the tick.
 	Runtime obs.RuntimeSnapshot `json:"runtime"`

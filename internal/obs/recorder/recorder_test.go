@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"log/slog"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -236,6 +237,26 @@ func TestTriggerWritesBundleAndRetention(t *testing.T) {
 		if _, err := os.Stat(filepath.Join(dirs[2], name)); err != nil {
 			t.Errorf("manifest lists %s but: %v", name, err)
 		}
+	}
+}
+
+// TestFailedCaptureLeavesNoBundle: a capture that fails part-way
+// (here the jobs view holds a NaN, which JSON cannot encode) returns an
+// error and leaves nothing in Dir — no manifest-less bundle for
+// msrnetdebug -list to show or for retention to count.
+func TestFailedCaptureLeavesNoBundle(t *testing.T) {
+	dir := t.TempDir()
+	f := New(Config{Reg: obs.New(), Dir: dir, Interval: time.Hour, Logger: quiet()})
+	f.SetJobs(func() any { return math.NaN() })
+	if d, err := f.Trigger(ReasonManual, "unencodable jobs"); err == nil {
+		t.Fatalf("capture of an unencodable jobs view succeeded: %s", d)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		t.Errorf("failed capture left %s in the postmortem dir", e.Name())
 	}
 }
 

@@ -4,10 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"sort"
 	"strings"
-	"sync/atomic"
 )
 
 // MetricsSchema identifies the JSON layout of a Snapshot, so downstream
@@ -17,11 +15,10 @@ const MetricsSchema = "msrnet-metrics/v1"
 
 // Snapshot is a point-in-time, JSON-serializable copy of a registry.
 type Snapshot struct {
-	Schema     string                      `json:"schema"`
-	Counters   map[string]int64            `json:"counters,omitempty"`
-	Gauges     map[string]int64            `json:"gauges,omitempty"`
-	Histograms map[string]HistSnapshot     `json:"histograms,omitempty"`
-	Quantiles  map[string]QuantileSnapshot `json:"quantiles,omitempty"`
+	Schema    string                      `json:"schema"`
+	Counters  map[string]int64            `json:"counters,omitempty"`
+	Gauges    map[string]int64            `json:"gauges,omitempty"`
+	Quantiles map[string]QuantileSnapshot `json:"quantiles,omitempty"`
 	// Runtime carries the Go runtime's state (goroutines, heap, GC
 	// pause and scheduling-latency quantiles) when the registry has
 	// EnableRuntime set — daemons only; batch/bench registries stay
@@ -46,17 +43,6 @@ type QuantileSnapshot struct {
 	ExemplarTrace string  `json:"exemplar_trace_id,omitempty"`
 }
 
-// HistSnapshot is the serialized form of one histogram. Counts has one
-// entry per bound plus a final overflow bucket. Max is omitted (and
-// round-trips as zero-value) when the histogram is empty.
-type HistSnapshot struct {
-	Bounds []float64 `json:"bounds"`
-	Counts []int64   `json:"counts"`
-	Count  int64     `json:"count"`
-	Sum    float64   `json:"sum"`
-	Max    *float64  `json:"max,omitempty"`
-}
-
 // Snapshot copies the registry's current state. Safe to call while other
 // goroutines keep recording; each metric is read atomically.
 func (r *Registry) Snapshot() Snapshot {
@@ -76,24 +62,6 @@ func (r *Registry) Snapshot() Snapshot {
 		snap.Gauges = make(map[string]int64, len(r.gauges))
 		for name, g := range r.gauges {
 			snap.Gauges[name] = g.Value()
-		}
-	}
-	if len(r.hists) > 0 {
-		snap.Histograms = make(map[string]HistSnapshot, len(r.hists))
-		for name, h := range r.hists {
-			hs := HistSnapshot{
-				Bounds: append([]float64(nil), h.bounds...),
-				Counts: make([]int64, len(h.counts)),
-				Count:  h.Count(),
-				Sum:    h.Sum(),
-			}
-			for i := range h.counts {
-				hs.Counts[i] = atomic.LoadInt64(&h.counts[i])
-			}
-			if m := h.Max(); !math.IsInf(m, -1) {
-				hs.Max = &m
-			}
-			snap.Histograms[name] = hs
 		}
 	}
 	if len(r.windows) > 0 {
@@ -127,8 +95,7 @@ func (s Snapshot) WriteJSON(w io.Writer) error {
 }
 
 // Text renders the snapshot as a human-readable report: counters,
-// gauges, window quantiles, runtime state and histogram summaries, each
-// sorted by name.
+// gauges, window quantiles and runtime state, each sorted by name.
 func (s Snapshot) Text() string {
 	var b strings.Builder
 	if len(s.Counters) > 0 {
@@ -166,26 +133,6 @@ func (s Snapshot) Text() string {
 			"gc_pause", rt.GCPauseMs.P50, rt.GCPauseMs.P90, rt.GCPauseMs.P99)
 		fmt.Fprintf(&b, "  %-44s p50=%.3gms p90=%.3gms p99=%.3gms\n",
 			"sched_latency", rt.SchedLatencyMs.P50, rt.SchedLatencyMs.P90, rt.SchedLatencyMs.P99)
-	}
-	if len(s.Histograms) > 0 {
-		b.WriteString("histograms:\n")
-		names := make([]string, 0, len(s.Histograms))
-		for name := range s.Histograms {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			h := s.Histograms[name]
-			mean := 0.0
-			if h.Count > 0 {
-				mean = h.Sum / float64(h.Count)
-			}
-			maxStr := "-"
-			if h.Max != nil {
-				maxStr = fmt.Sprintf("%g", *h.Max)
-			}
-			fmt.Fprintf(&b, "  %-44s n=%d mean=%.3g max=%s\n", name, h.Count, mean, maxStr)
-		}
 	}
 	return b.String()
 }

@@ -201,7 +201,7 @@ func TestEndToEnd(t *testing.T) {
 	if completed := promCounter(t, mbuf.String(), "msrnet_svc_jobs_completed_total"); completed != 2*nNets {
 		t.Fatalf("msrnet_svc_jobs_completed_total = %d, want %d", completed, 2*nNets)
 	}
-	for _, series := range []string{"msrnet_svc_queue_wait_ms_count", "msrnet_svc_job_ms_count"} {
+	for _, series := range []string{"msrnet_svc_latency_queue_ok_count", "msrnet_svc_latency_solve_ok_count"} {
 		if !strings.Contains(mbuf.String(), series) {
 			t.Errorf("metrics exposition missing %s", series)
 		}

@@ -113,10 +113,6 @@ type Config struct {
 // Config.CoarseEps is zero.
 const DefaultCoarseEps = 0.02
 
-// LatencyBounds are the millisecond bucket bounds of the svc/queue_wait_ms
-// and svc/job_ms histograms.
-var LatencyBounds = []float64{0.1, 0.25, 0.5, 1, 2.5, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000}
-
 // Daemon owns the job queue, worker pool and result cache. Create with
 // New, submit with Submit (or through Handler's HTTP surface), and
 // Close to drain.
@@ -157,7 +153,6 @@ type Daemon struct {
 	degraded, shed, forwarded    *obs.Counter
 	queueDepth, workers          *obs.Gauge
 	drainGauge                   *obs.Gauge
-	queueWait, jobDur            *obs.Histogram
 
 	// lat holds one sliding-window latency triple per outcome class;
 	// built once at New so the job path never allocates a window.
@@ -251,8 +246,6 @@ func New(cfg Config) *Daemon {
 		queueDepth: reg.Gauge("svc/queue_depth"),
 		workers:    reg.Gauge("svc/workers"),
 		drainGauge: reg.Gauge("svc/draining"),
-		queueWait:  reg.Histogram("svc/queue_wait_ms", LatencyBounds),
-		jobDur:     reg.Histogram("svc/job_ms", LatencyBounds),
 	}
 	d.qcond = sync.NewCond(&d.mu)
 	d.initTenants(cfg.Tenants)
@@ -533,7 +526,6 @@ func (d *Daemon) worker() {
 			return
 		}
 		t.waitMs = float64(time.Since(t.enqueued)) / float64(time.Millisecond)
-		d.queueWait.Observe(t.waitMs)
 		d.runTask(t)
 	}
 }
@@ -547,7 +539,6 @@ func (d *Daemon) runTask(t *task) {
 	defer t.cancel()
 	d.table.setRunning(t.jid)
 	t.qspan.End() // queue wait is over: a worker has the task
-	start := time.Now()
 
 	if err := t.ctx.Err(); err != nil {
 		t.res = d.failResult(t, ErrDeadlineExceeded, fmt.Sprintf("expired before start: %v", err))
@@ -597,8 +588,6 @@ func (d *Daemon) runTask(t *task) {
 		solveSpan.End()
 	}
 
-	ms := float64(time.Since(start)) / float64(time.Millisecond)
-	d.jobDur.Observe(ms)
 	// Persist the outcome before anything can deliver it: a crash after
 	// this append replays the stored bytes instead of re-solving.
 	d.walResult(t)
@@ -625,7 +614,7 @@ func (d *Daemon) runTask(t *task) {
 	}
 	d.finishJob(t)
 	d.log.InfoContext(t.ctx, "job done", "job", t.label, "status", t.res.Status, "code", t.res.Code,
-		"mode", t.job.Mode, "net_key", t.netKey, "ms", ms, "degraded", t.res.Degraded,
+		"mode", t.job.Mode, "net_key", t.netKey, "degraded", t.res.Degraded,
 		"outcome", t.explain.Outcome, "queue_wait_ms", t.waitMs, "solve_ms", t.solveMs)
 }
 
