@@ -35,7 +35,7 @@ func buildTools(t *testing.T) string {
 			return
 		}
 		cli.dir = dir
-		for _, tool := range []string{"netgen", "ardcalc", "msri", "synth", "experiments", "benchreport"} {
+		for _, tool := range []string{"netgen", "ardcalc", "msri", "synth", "experiments", "msrnetctl"} {
 			bin := filepath.Join(dir, tool)
 			if runtime.GOOS == "windows" {
 				bin += ".exe"
@@ -147,13 +147,10 @@ func TestCLIGenerateAnalyzeOptimize(t *testing.T) {
 		t.Error("ardcalc metrics missing ard/runs")
 	}
 
-	// Spec-driven run with both pruners; results must agree on the line.
-	a := run(t, "msri", "-net", netPath, "-spec", "99", "-pruner", "divide")
-	b := run(t, "msri", "-net", netPath, "-spec", "99", "-pruner", "naive")
-	la := lastLine(a)
-	lb := lastLine(b)
-	if la != lb {
-		t.Errorf("pruner outputs differ: %q vs %q", la, lb)
+	// Spec-driven run: the last line answers Problem 2.1.
+	out = run(t, "msri", "-net", netPath, "-spec", "99")
+	if l := lastLine(out); !strings.HasPrefix(l, "min-cost solution meeting ARD ≤ 99: ") {
+		t.Errorf("msri -spec 99 last line: %q", l)
 	}
 }
 
@@ -190,10 +187,12 @@ func lastLine(s string) string {
 	return lines[len(lines)-1]
 }
 
-// TestCLIObservatory drives the new observability surfaces end to end:
-// a Perfetto trace from msri, obs flags on netgen, and a benchreport
-// run compared against the committed baseline (whose work counters are
-// deterministic, so the comparison must pass on any machine).
+// TestCLIObservatory drives the observability surfaces end to end: a
+// Perfetto trace from msri, obs flags on netgen, and the offline
+// readers of msrnetctl — a bench run compared against the committed
+// baseline (whose work counters are deterministic, so the comparison
+// must pass on any machine), a waste profile checked against the same
+// baseline, and a postmortem listing of an empty directory.
 func TestCLIObservatory(t *testing.T) {
 	dir := t.TempDir()
 	netPath := filepath.Join(dir, "net.json")
@@ -213,13 +212,26 @@ func TestCLIObservatory(t *testing.T) {
 	}
 
 	reportPath := filepath.Join(dir, "BENCH_msrnet.json")
-	out := run(t, "benchreport", "-suite", "quick",
+	out := run(t, "msrnetctl", "bench", "-suite", "quick",
 		"-out", reportPath, "-baseline", "BENCH_msrnet.json")
 	if !strings.Contains(out, "no regressions") {
-		t.Errorf("benchreport vs committed baseline: %s", out)
+		t.Errorf("msrnetctl bench vs committed baseline: %s", out)
 	}
 	if _, err := os.Stat(reportPath); err != nil {
 		t.Errorf("report not written: %v", err)
+	}
+
+	out = run(t, "msrnetctl", "prof", "-bench", "msri/10pin", "-baseline", "BENCH_msrnet.json")
+	if !strings.Contains(out, "baseline msri/10pin: waste ratio ") {
+		t.Errorf("msrnetctl prof vs committed baseline: %s", out)
+	}
+
+	empty := filepath.Join(dir, "postmortems")
+	if err := os.Mkdir(empty, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if out := run(t, "msrnetctl", "postmortem", "-list", empty); !strings.Contains(out, "no postmortem bundles") {
+		t.Errorf("msrnetctl postmortem -list on an empty directory: %s", out)
 	}
 }
 

@@ -14,7 +14,7 @@
 //	msri -net net10.json -metrics m.json       # JSON metrics snapshot (counters + gauges)
 //	msri -net net10.json -trace                # metrics report on stderr
 //	msri -net net10.json -trace-events t.json  # Perfetto-loadable per-node DP timeline
-//	msri -net net10.json -solveprof p.json     # candidate-lifecycle waste profile (see msrnetprof)
+//	msri -net net10.json -solveprof p.json     # candidate-lifecycle waste profile (see msrnetctl prof)
 //	msri -net net10.json -listen :9090         # live /metrics, /debug/vars, /debug/pprof
 //	msri -net net10.json -cpuprofile cpu.pprof -memprofile mem.pprof
 package main
@@ -53,9 +53,8 @@ var (
 	svgOut   = flag.String("svg", "", "write an SVG of the chosen solution")
 	asgOut   = flag.String("assign", "", "write the chosen assignment as JSON")
 	widths   = flag.String("widths", "", "comma-separated wire width options (enables wire sizing)")
-	pruner   = flag.String("pruner", "divide", "divide | naive (MFS implementation)")
 	stats    = flag.Bool("stats", false, "print dynamic-programming statistics")
-	profOut  = flag.String("solveprof", "", "write a msrnet-solveprof/v1 candidate-lifecycle profile to this file (analyze with msrnetprof)")
+	profOut  = flag.String("solveprof", "", "write a msrnet-solveprof/v1 candidate-lifecycle profile to this file (analyze with msrnetctl prof)")
 	rep      = flag.Bool("report", false, "print a before/after summary and placement report for the chosen solution")
 	obsFlags = cliflags.Register(flag.CommandLine, cliflags.Caps{TraceEvents: true, Listen: true})
 )
@@ -90,14 +89,6 @@ func optimize(reg *obs.Registry, tcr *trace.Tracer) error {
 		opt.SizeDrivers = true
 	default:
 		return fmt.Errorf("unknown mode %q", *mode)
-	}
-	switch *pruner {
-	case "divide":
-		opt.Pruner = core.PruneDivide
-	case "naive":
-		opt.Pruner = core.PruneNaive
-	default:
-		return fmt.Errorf("unknown pruner %q", *pruner)
 	}
 	opt.Profile = *profOut != ""
 	if *widths != "" {

@@ -1,4 +1,5 @@
-// Command msrnetctl is the fleet-aware msrnetd client: it discovers a
+// Command msrnetctl is the msrnet operator's tool. Without a
+// subcommand it is the fleet-aware msrnetd client: it discovers a
 // cluster's membership from any seed peer, routes each job of a
 // msrnet-job/v1 batch to the job's home peer on the fleet's
 // consistent-hash ring (where the shard cache hits in zero hops), fails
@@ -19,6 +20,28 @@
 // The request file is a msrnet-job/v1 body (same as POST /v1/jobs);
 // the response JSON goes to stdout. Exit status is 0 only when every
 // job succeeded.
+//
+// Three subcommands read offline artifacts instead of talking to a
+// fleet. Each exits 1 on a failure, a failed regression gate included,
+// and 2 on a usage error.
+//
+//	msrnetctl bench                              # quick suite -> BENCH_msrnet.json
+//	msrnetctl bench -suite full
+//	msrnetctl bench -baseline BENCH_msrnet.json -out /tmp/now.json
+//	msrnetctl bench -baseline BENCH_msrnet.json -threshold 0.25 -waste-threshold 5
+//
+//	msrnetctl prof prof.json                     # render one msrnet-solveprof/v1 profile
+//	msrnetctl prof old.json new.json             # diff two profiles
+//	msrnetctl prof -bench msri/12pin             # profile a committed bench workload in-process
+//	msrnetctl prof -bench msri/12pin -out p.json # ... and write the artifact
+//	msrnetctl prof -bench msri/12pin old.json    # diff a saved profile against a fresh run
+//	msrnetctl prof -baseline BENCH_msrnet.json -bench msri/12pin
+//	                                             # check the waste ratio against the bench baseline
+//
+//	msrnetctl postmortem /var/lib/msrnet/postmortems/postmortem-...-worker_panic
+//	msrnetctl postmortem -baseline BENCH_msrnet.json <bundle-dir>
+//	msrnetctl postmortem -trace <traceID> <bundle-dir>
+//	msrnetctl postmortem -list /var/lib/msrnet/postmortems   # enumerate bundles
 package main
 
 import (
@@ -45,6 +68,20 @@ import (
 const envAPIKey = "MSRNET_API_KEY"
 
 func main() {
+	if len(os.Args) > 1 {
+		switch os.Args[1] {
+		case "bench":
+			runBench(os.Args[2:])
+			return
+		case "prof":
+			runProf(os.Args[2:])
+			return
+		case "postmortem":
+			runPostmortem(os.Args[2:])
+			return
+		}
+	}
+
 	var (
 		peers    = flag.String("peers", "", "comma-separated fleet seed base URLs (any live member; required)")
 		in       = flag.String("in", "", "msrnet-job/v1 request file (\"-\" = stdin)")
@@ -70,6 +107,7 @@ func main() {
 	}
 	if len(seeds) == 0 {
 		fmt.Fprintln(os.Stderr, "usage: msrnetctl -peers http://host:8383[,...] [-in batch.json | -members | -version]")
+		fmt.Fprintln(os.Stderr, "       msrnetctl bench | prof | postmortem [flags]")
 		os.Exit(2)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)

@@ -1,20 +1,3 @@
-// Command msrnetdebug renders a postmortem bundle written by msrnetd's
-// flight recorder (schema msrnet-postmortem/v1) as a human-readable
-// incident report: what triggered the capture, a timeline of the
-// recorder ring around it, the biggest p99 latency movers, the jobs
-// that were in flight or recently finished, and — given the committed
-// bench baseline — how the DP shape of the crashed daemon's jobs
-// compares to the perf observatory's numbers.
-//
-// Usage:
-//
-//	msrnetdebug /var/lib/msrnet/postmortems/postmortem-...-worker_panic
-//	msrnetdebug -baseline BENCH_msrnet.json <bundle-dir>
-//	msrnetdebug -list /var/lib/msrnet/postmortems   # enumerate bundles
-//
-// The raw artifacts stay in the bundle for deeper digging: recorder.json
-// (the full ring), heap.pb.gz (go tool pprof), trace.json (Perfetto),
-// goroutines.txt. See DESIGN.md §11.
 package main
 
 import (
@@ -31,47 +14,83 @@ import (
 	"msrnet/internal/spancollect"
 )
 
-func main() {
+// runPostmortem is `msrnetctl postmortem`: it renders a bundle written
+// by msrnetd's flight recorder (schema msrnet-postmortem/v1) as a
+// human-readable incident report: what triggered the capture, a
+// timeline of the recorder ring around it, the biggest p99 latency
+// movers, the jobs that were in flight or recently finished, and —
+// given the committed bench baseline — how the DP shape of the crashed
+// daemon's jobs compares to the perf observatory's numbers.
+//
+// The raw artifacts stay in the bundle for deeper digging:
+// recorder.json (the full ring), heap.pb.gz (go tool pprof), trace.json
+// (Perfetto), goroutines.txt. See DESIGN.md §11.
+func runPostmortem(args []string) {
+	const tool = "msrnetctl postmortem"
+	fs := flag.NewFlagSet(tool, flag.ExitOnError)
 	var (
-		baseline = flag.String("baseline", "", "compare the bundle's DP shape against this msrnet-bench/v1 report (e.g. the committed BENCH_msrnet.json)")
-		list     = flag.String("list", "", "list the bundles under this directory (newest last) instead of rendering one")
-		traceID  = flag.String("trace-id", "", "with -list: only bundles whose captured span index contains this trace")
-		trace    = flag.String("trace", "", "render the given trace from the bundle's spans.json as a waterfall + critical path instead of the incident report")
+		baseline = fs.String("baseline", "", "compare the bundle's DP shape against this msrnet-bench/v1 report (e.g. the committed BENCH_msrnet.json)")
+		list     = fs.String("list", "", "list the bundles under this directory (newest last) instead of rendering one")
+		traceID  = fs.String("trace-id", "", "with -list: only bundles whose captured span index contains this trace")
+		trace    = fs.String("trace", "", "render the given trace from the bundle's spans.json as a waterfall + critical path instead of the incident report")
 	)
-	flag.Parse()
+	fs.Parse(args)
 
 	if *list != "" {
 		if err := listBundles(*list, *traceID); err != nil {
-			fatal(err)
+			cliflags.Fatal(tool, err)
 		}
 		return
 	}
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: msrnetdebug [-baseline BENCH_msrnet.json] [-trace <traceID>] <bundle-dir>")
-		fmt.Fprintln(os.Stderr, "       msrnetdebug -list <postmortem-dir> [-trace-id <traceID>]")
+	if fs.NArg() != 1 {
+		fmt.Fprintln(os.Stderr, "usage: msrnetctl postmortem [-baseline BENCH_msrnet.json] [-trace <traceID>] <bundle-dir>")
+		fmt.Fprintln(os.Stderr, "       msrnetctl postmortem -list <postmortem-dir> [-trace-id <traceID>]")
 		os.Exit(2)
 	}
 
-	b, err := recorder.LoadBundle(flag.Arg(0))
+	b, err := recorder.LoadBundle(fs.Arg(0))
 	if err != nil {
-		fatal(err)
+		cliflags.Fatal(tool, err)
 	}
 	if *trace != "" {
 		if err := renderTrace(b, *trace); err != nil {
-			fatal(err)
+			cliflags.Fatal(tool, err)
 		}
 		return
 	}
-	var base *bench.Report
-	if *baseline != "" {
-		rep, err := bench.Load(*baseline)
-		if err != nil {
-			fatal(err)
-		}
-		base = &rep
+	base, err := loadBaseline(*baseline)
+	if err != nil {
+		cliflags.Fatal(tool, err)
 	}
-	if err := recorder.WriteReport(os.Stdout, b, base); err != nil {
-		fatal(err)
+	if err := recorder.WriteReport(os.Stdout, b, dpBaseline(base)); err != nil {
+		cliflags.Fatal(tool, err)
+	}
+}
+
+// dpBaseline averages the msri workloads of a bench report into the
+// DP shape a postmortem compares against. It is nil when there is no
+// report, or when the report has no msri workload that created a
+// solution.
+func dpBaseline(rep *bench.Report) *recorder.Baseline {
+	if rep == nil {
+		return nil
+	}
+	var n, solutions, dropped int64
+	for _, wl := range rep.Workloads {
+		if strings.HasPrefix(wl.Name, "msri/") {
+			n++
+			solutions += wl.Counters["solutions_created"]
+			dropped += wl.Counters["dropped"]
+		}
+	}
+	if n == 0 || solutions <= 0 {
+		return nil
+	}
+	return &recorder.Baseline{
+		Suite:           rep.Suite,
+		Workloads:       int(n),
+		SolutionsPerNet: float64(solutions) / float64(n),
+		DroppedPerNet:   float64(dropped) / float64(n),
 	}
 }
 
@@ -161,5 +180,3 @@ func bundleHasTrace(b *recorder.Bundle, traceID string) bool {
 	}
 	return false
 }
-
-func fatal(err error) { cliflags.Fatal("msrnetdebug", err) }

@@ -23,7 +23,7 @@
 // into a bounded ring (-recorder-interval) and writes self-contained
 // postmortem bundles (-postmortem-dir) on worker panics, SLO burn-rate
 // alerts (-slo), SIGQUIT, or POST /debug/dump; inspect bundles with
-// cmd/msrnetdebug. See DESIGN.md §11.
+// msrnetctl postmortem. See DESIGN.md §11.
 package main
 
 import (

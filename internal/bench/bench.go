@@ -1,5 +1,5 @@
 // Package bench is the counting half of the perf-regression
-// observatory behind cmd/benchreport: a fixed set of paper-derived
+// observatory behind msrnetctl bench: a fixed set of paper-derived
 // workloads (ARD characterization on §VI-style random nets, MSRI
 // dynamic-program sweeps), each reporting the DP's deterministic work
 // counters.
@@ -104,7 +104,7 @@ func msriRun(pins int) (*core.Result, error) {
 
 // ProfileMSRI runs one committed MSRI workload ("msri/12pin" form) and
 // returns its result with the lifecycle profile attached — the entry
-// point cmd/msrnetprof uses to profile a bench workload in place.
+// point msrnetctl prof uses to profile a bench workload in place.
 func ProfileMSRI(name string) (*core.Result, error) {
 	var pins int
 	if _, err := fmt.Sscanf(name, "msri/%dpin", &pins); err != nil {

@@ -96,7 +96,7 @@ func TestWasteGate(t *testing.T) {
 	}
 }
 
-// TestProfileMSRI: the msrnetprof entry point profiles a committed
+// TestProfileMSRI: the msrnetctl prof entry point profiles a committed
 // workload and its profile reconciles with the run stats.
 func TestProfileMSRI(t *testing.T) {
 	if testing.Short() {

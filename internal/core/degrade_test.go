@@ -9,7 +9,9 @@ import (
 	"time"
 
 	"msrnet/internal/ard"
+	"msrnet/internal/buslib"
 	"msrnet/internal/core"
+	"msrnet/internal/netgen"
 	"msrnet/internal/rctree"
 	"msrnet/internal/testnet"
 )
@@ -103,5 +105,48 @@ func TestOptimizeHonorsContext(t *testing.T) {
 	res, err = core.Optimize(rt, tech, core.Options{Repeaters: true, Context: context.Background()})
 	if err != nil || len(res.Suite) == 0 {
 		t.Fatalf("live context: err=%v", err)
+	}
+}
+
+// pollContext is a live context whose Err starts failing with
+// DeadlineExceeded at the failAt-th poll (never when failAt is 0), and
+// which counts the polls.
+type pollContext struct {
+	context.Context
+	failAt, polls int
+}
+
+func (c *pollContext) Err() error {
+	c.polls++
+	if c.failAt > 0 && c.polls >= c.failAt {
+		return context.DeadlineExceeded
+	}
+	return nil
+}
+
+// TestOptimizeDeadlineAtEveryPoll: wherever in the walk the deadline
+// hits, Optimize reports it as the context's error — including at the
+// last poll, inside the root edge's wire-width augment, where a prune
+// that unwinds leaves nothing for the suite.
+func TestOptimizeDeadlineAtEveryPoll(t *testing.T) {
+	tr, err := netgen.Generate(1, netgen.Defaults(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt := tr.RootAt(tr.Terminals()[0])
+	opt := core.Options{Repeaters: true, WireWidths: []float64{1, 2}}
+	live := &pollContext{Context: context.Background()}
+	opt.Context = live
+	if _, err := core.Optimize(rt, buslib.Default(), opt); err != nil {
+		t.Fatal(err)
+	}
+	if live.polls < 2 {
+		t.Fatalf("a full run polled %d times; the test needs a walk that polls", live.polls)
+	}
+	for failAt := 1; failAt <= live.polls; failAt++ {
+		opt.Context = &pollContext{Context: context.Background(), failAt: failAt}
+		if _, err := core.Optimize(rt, buslib.Default(), opt); !errors.Is(err, context.DeadlineExceeded) {
+			t.Errorf("deadline from poll %d of %d: err=%v, want context.DeadlineExceeded", failAt, live.polls, err)
+		}
 	}
 }

@@ -216,6 +216,9 @@ func Optimize(rt *topo.Rooted, tech buslib.Tech, opt Options) (*Result, error) {
 		return nil, d.err
 	}
 	final := d.augment(childSet, rt.ParentEdge[c], rt.Root)
+	if d.err != nil {
+		return nil, d.err
+	}
 	suite := d.rootSolutions(final)
 	if len(suite) == 0 {
 		return nil, fmt.Errorf("core: no feasible solution (all domains pruned)")

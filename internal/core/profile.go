@@ -8,7 +8,7 @@ package core
 // msrnet-solveprof/v1 artifact (internal/solveprof): it says which
 // construction rules, at which nodes, burn work on candidates that
 // never contribute to the answer — the measuring stick for predictive
-// pruning (ROADMAP open item 1).
+// pruning (Li & Shi's buffer insertion, PAPERS.md).
 //
 // The accounting is deterministic: every field is an order-independent
 // sum, so repeated runs of the same input produce identical profiles

@@ -109,7 +109,7 @@ func TestNilSafety(t *testing.T) {
 
 // TestSnapshotDeterministic: two snapshots of the same quiescent
 // registry serialize to byte-identical JSON — the property the
-// benchreport baselines and the Prometheus exposition rely on.
+// bench baselines and the Prometheus exposition rely on.
 func TestSnapshotDeterministic(t *testing.T) {
 	reg := New()
 	// Deliberately non-lexicographic recording order.

@@ -18,7 +18,7 @@ import (
 )
 
 // BundleSchema identifies the postmortem bundle layout for downstream
-// tooling (cmd/msrnetdebug), the same way msrnet-metrics/v1 and
+// tooling (msrnetctl postmortem), the same way msrnet-metrics/v1 and
 // msrnet-explain/v1 version their formats.
 const BundleSchema = "msrnet-postmortem/v1"
 
@@ -236,7 +236,8 @@ type Bundle struct {
 	HasTenants bool
 	// HasSpans reports a spans.json trace dump in the bundle; Spans is
 	// its decoded msrnet-spans/v1 content (zero-valued when absent), so
-	// msrnetdebug -trace can render a crashed daemon's traces offline.
+	// msrnetctl postmortem -trace can render a crashed daemon's traces
+	// offline.
 	HasSpans bool
 	Spans    spans.Dump
 }

@@ -14,7 +14,7 @@
 // A production daemon cannot rely on a human being attached when it
 // degrades: the ring means the minutes BEFORE the trigger are always
 // available, and the bundle means an incident leaves a corpse that
-// cmd/msrnetdebug can autopsy offline. A nil *FlightRecorder is inert
+// msrnetctl postmortem can autopsy offline. A nil *FlightRecorder is inert
 // (every method no-ops), so the serving layer wires its trigger points
 // unconditionally. See DESIGN.md §11.
 package recorder
@@ -202,7 +202,7 @@ func (f *FlightRecorder) SetTenants(fn func() any) {
 // SetSpans installs the distributed-tracing source: a function
 // returning the process's span-index dump (msrnet-spans/v1), written
 // into bundles as spans.json so the traces of a crashed daemon survive
-// into the postmortem — msrnetdebug -trace reads them back. Safe to
+// into the postmortem — msrnetctl postmortem -trace reads them back. Safe to
 // call before or after Start; nil clears it.
 func (f *FlightRecorder) SetSpans(fn func() any) {
 	if f == nil {

@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"msrnet/internal/bench"
 	"msrnet/internal/obs"
 	"msrnet/internal/obs/trace"
 )
@@ -243,7 +242,7 @@ func TestTriggerWritesBundleAndRetention(t *testing.T) {
 // TestFailedCaptureLeavesNoBundle: a capture that fails part-way
 // (here the jobs view holds a NaN, which JSON cannot encode) returns an
 // error and leaves nothing in Dir — no manifest-less bundle for
-// msrnetdebug -list to show or for retention to count.
+// msrnetctl postmortem -list to show or for retention to count.
 func TestFailedCaptureLeavesNoBundle(t *testing.T) {
 	dir := t.TempDir()
 	f := New(Config{Reg: obs.New(), Dir: dir, Interval: time.Hour, Logger: quiet()})
@@ -347,9 +346,7 @@ func TestWriteReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseline := &bench.Report{Schema: bench.Schema, Suite: "quick", Workloads: []bench.Workload{
-		{Name: "msri/10pin", Counters: map[string]int64{"solutions_created": 2685, "dropped": 563}},
-	}}
+	baseline := &Baseline{Suite: "quick", Workloads: 1, SolutionsPerNet: 2685, DroppedPerNet: 563}
 	var buf bytes.Buffer
 	if err := WriteReport(&buf, b, baseline); err != nil {
 		t.Fatal(err)

@@ -6,16 +6,30 @@ import (
 	"sort"
 	"strings"
 	"time"
-
-	"msrnet/internal/bench"
 )
 
+// Baseline is the perf observatory's DP shape that a report compares a
+// bundle's solved jobs against: per-net means over the msri workloads
+// of a bench suite.
+type Baseline struct {
+	// Suite names the bench suite the means come from.
+	Suite string
+	// Workloads is the number of msri workloads averaged.
+	Workloads int
+	// SolutionsPerNet is the mean of solutions created per net; it must
+	// be positive.
+	SolutionsPerNet float64
+	// DroppedPerNet is the mean of candidates dropped per net; the row
+	// is omitted when it is 0.
+	DroppedPerNet float64
+}
+
 // WriteReport renders a loaded bundle as the human-readable incident
-// report cmd/msrnetdebug prints: the trigger, a timeline of the
-// recorder ring around it, the latency movers, the jobs that were
-// in flight, and — when a bench baseline is supplied — the DP-shape
-// deltas against the committed perf observatory numbers.
-func WriteReport(w io.Writer, b *Bundle, baseline *bench.Report) error {
+// report `msrnetctl postmortem` prints: the trigger, a timeline of the
+// recorder ring around it, the latency movers, the jobs that were in
+// flight, and — when a baseline is supplied — the DP-shape deltas
+// against the committed perf observatory numbers.
+func WriteReport(w io.Writer, b *Bundle, baseline *Baseline) error {
 	pw := &printWriter{w: w}
 	writeHeader(pw, b)
 	writeTimeline(pw, b)
@@ -195,7 +209,7 @@ func writeJobs(p *printWriter, b *Bundle) {
 // the baseline's msri workloads — a crashed daemon whose jobs created
 // 10× the baseline's candidates per net tells a very different story
 // from one whose DP shape was nominal.
-func writeDPShape(p *printWriter, b *Bundle, baseline *bench.Report) {
+func writeDPShape(p *printWriter, b *Bundle, baseline *Baseline) {
 	var n, solutions, dropped, pruneCalls, maxSet int64
 	for _, j := range b.Jobs.Recent {
 		if j.Solve == nil {
@@ -218,24 +232,13 @@ func writeDPShape(p *printWriter, b *Bundle, baseline *bench.Report) {
 	p.printf("  %-28s %10.1f\n", "mean prune calls/job", float64(pruneCalls)/float64(n))
 	p.printf("  %-28s %10d\n", "max set size", maxSet)
 	if baseline != nil {
-		var bn, bsol, bdrop int64
-		for _, wl := range baseline.Workloads {
-			if !strings.HasPrefix(wl.Name, "msri/") {
-				continue
-			}
-			bn++
-			bsol += wl.Counters["solutions_created"]
-			bdrop += wl.Counters["dropped"]
-		}
-		if bn > 0 && bsol > 0 {
-			obsMean := float64(solutions) / float64(n)
-			baseMean := float64(bsol) / float64(bn)
-			p.printf("  vs baseline (%s, %d msri workloads):\n", baseline.Suite, bn)
-			p.printf("    %-26s %10.1f  (observed/baseline %.2fx)\n", "baseline solutions/net", baseMean, obsMean/baseMean)
-			if bdrop > 0 {
-				p.printf("    %-26s %10.1f  (observed/baseline %.2fx)\n", "baseline dropped/net",
-					float64(bdrop)/float64(bn), (float64(dropped)/float64(n))/(float64(bdrop)/float64(bn)))
-			}
+		obsMean := float64(solutions) / float64(n)
+		p.printf("  vs baseline (%s, %d msri workloads):\n", baseline.Suite, baseline.Workloads)
+		p.printf("    %-26s %10.1f  (observed/baseline %.2fx)\n", "baseline solutions/net",
+			baseline.SolutionsPerNet, obsMean/baseline.SolutionsPerNet)
+		if baseline.DroppedPerNet > 0 {
+			p.printf("    %-26s %10.1f  (observed/baseline %.2fx)\n", "baseline dropped/net",
+				baseline.DroppedPerNet, (float64(dropped)/float64(n))/baseline.DroppedPerNet)
 		}
 	}
 	p.printf("\n")

@@ -36,7 +36,8 @@ func bundleDirs(t *testing.T, dir string) []string {
 
 // TestWorkerPanicWritesPostmortem: a fault-injected worker panic is
 // recovered, fails the job with internal, AND triggers a postmortem
-// bundle that msrnetdebug's loader and renderer accept end to end.
+// bundle that msrnetctl postmortem's loader and renderer accept end to
+// end.
 func TestWorkerPanicWritesPostmortem(t *testing.T) {
 	dir := t.TempDir()
 	reg := obs.New()

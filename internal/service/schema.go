@@ -59,15 +59,13 @@ type JobOptions struct {
 	// Spec, when positive, asks for the min-cost solution with
 	// ARD ≤ Spec ns (Problem 2.1) instead of the min-ARD solution.
 	Spec float64 `json:"spec,omitempty"`
-	// Pruner selects the MFS implementation: "divide" (default) or
-	// "naive".
-	Pruner string `json:"pruner,omitempty"`
 	// WireWidths enables wire sizing over the listed width factors.
 	WireWidths []float64 `json:"wire_widths,omitempty"`
 	// IncludeSelf counts u==v source/sink pairs in the ARD.
 	IncludeSelf bool `json:"include_self,omitempty"`
-	// The retired "parallel" option is still accepted and ignored: the
-	// decoder skips unknown fields, and the DP is serial.
+	// The retired "parallel" and "pruner" options are still accepted
+	// and ignored: the decoder skips unknown fields, the DP is serial,
+	// and it always prunes with the divide-and-conquer MFS.
 }
 
 // Response is the body of a successful POST /v1/jobs: one result per
@@ -229,11 +227,6 @@ func (j *Job) validate() error {
 	default:
 		return fmt.Errorf("unknown optimize %q (want repeaters, sizing or both)", j.Options.Optimize)
 	}
-	switch j.Options.Pruner {
-	case "", "divide", "naive":
-	default:
-		return fmt.Errorf("unknown pruner %q (want divide or naive)", j.Options.Pruner)
-	}
 	return nil
 }
 
@@ -251,13 +244,15 @@ func (j *Job) label(i int) string {
 // the result. Two jobs collide exactly when they are guaranteed to
 // produce identical results — so defaults are normalized ("" and
 // "repeaters" collide) but WireWidths order is preserved (option order
-// can break ties in the DP).
+// can break ties in the DP). The literal "pruner=divide" is kept from
+// when the MFS implementation was a job option, so keys stored before
+// its retirement still match.
 func (j *Job) cacheKey(netKey string) string {
 	var b strings.Builder
 	b.WriteString(netKey)
 	fmt.Fprintf(&b, "|mode=%s", j.Mode)
 	if j.Mode != "ard" {
-		fmt.Fprintf(&b, "|opt=%s|spec=%g|pruner=%s", j.optimize(), j.Options.Spec, j.pruner())
+		fmt.Fprintf(&b, "|opt=%s|spec=%g|pruner=divide", j.optimize(), j.Options.Spec)
 		if len(j.Options.WireWidths) > 0 {
 			fmt.Fprintf(&b, "|widths=%v", j.Options.WireWidths)
 		}
@@ -271,11 +266,4 @@ func (j *Job) optimize() string {
 		return "repeaters"
 	}
 	return j.Options.Optimize
-}
-
-func (j *Job) pruner() string {
-	if j.Options.Pruner == "" {
-		return "divide"
-	}
-	return j.Options.Pruner
 }

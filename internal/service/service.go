@@ -745,9 +745,6 @@ func (d *Daemon) exec(t *task) Result {
 			opt.Repeaters = true
 			opt.SizeDrivers = true
 		}
-		if j.pruner() == "naive" {
-			opt.Pruner = core.PruneNaive
-		}
 		_, ps := d.cfg.Spans.Start(t.sctx, "solve/optimize")
 		out, deg, err := d.runOptimize(t, rt, opt)
 		ps.End()

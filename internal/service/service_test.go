@@ -343,9 +343,9 @@ func TestCacheKeyDistinguishesOptions(t *testing.T) {
 	if resp.Results[0].Cached {
 		t.Fatal("different options must not hit the cache")
 	}
-	// Defaults normalize: "" and explicit "repeaters"/"divide" collide.
+	// Defaults normalize: "" and explicit "repeaters" collide.
 	resp, serr = d.Submit(context.Background(), oneJobRequest(
-		Job{ID: "rr", Mode: "msri", Net: net, Options: JobOptions{Optimize: "repeaters", Pruner: "divide"}}))
+		Job{ID: "rr", Mode: "msri", Net: net, Options: JobOptions{Optimize: "repeaters"}}))
 	if serr != nil {
 		t.Fatal(serr)
 	}
@@ -354,21 +354,12 @@ func TestCacheKeyDistinguishesOptions(t *testing.T) {
 	}
 }
 
-// TestRetiredParallelOptionIgnored: the removed "parallel" job option
-// stays accepted on the wire as a no-op. A request carrying it gets a
-// 200 with the result bytes of the request without it, and the two
-// share one cache entry.
-func TestRetiredParallelOptionIgnored(t *testing.T) {
+// TestRetiredOptionsIgnored: the removed "parallel" and "pruner" job
+// options stay accepted on the wire as no-ops. A request carrying one
+// gets a 200 with the result bytes of the request without it, and the
+// two share one cache entry.
+func TestRetiredOptionsIgnored(t *testing.T) {
 	plain, err := json.Marshal(oneJobRequest(Job{ID: "p", Mode: "both", Net: testNetFile(t, 3, 6)}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var req map[string]any
-	if err := json.Unmarshal(plain, &req); err != nil {
-		t.Fatal(err)
-	}
-	req["jobs"].([]any)[0].(map[string]any)["options"] = map[string]any{"parallel": true}
-	withParallel, err := json.Marshal(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,18 +372,34 @@ func TestRetiredParallelOptionIgnored(t *testing.T) {
 		}
 		return rec.Body.Bytes()
 	}
-	d := newTestDaemon(t, Config{Workers: 1, Reg: obs.New(), CacheSize: 8})
-	got := post(d, withParallel)
 	want := post(newTestDaemon(t, Config{Workers: 1, Reg: obs.New(), CacheSize: 8}), plain)
-	if !bytes.Equal(got, want) {
-		t.Fatalf("\"parallel\" changed the response:\n%s\nvs\n%s", got, want)
-	}
-	var resp Response
-	if err := json.Unmarshal(post(d, plain), &resp); err != nil {
-		t.Fatal(err)
-	}
-	if r := resp.Results[0]; r.Status != StatusOK || !r.Cached {
-		t.Fatalf("plain request after the \"parallel\" one: %+v, want an ok cache hit", r)
+	for _, tc := range []struct {
+		name   string
+		option any
+	}{{"parallel", true}, {"pruner", "naive"}} {
+		name, option := tc.name, tc.option
+		t.Run(name, func(t *testing.T) {
+			var req map[string]any
+			if err := json.Unmarshal(plain, &req); err != nil {
+				t.Fatal(err)
+			}
+			req["jobs"].([]any)[0].(map[string]any)["options"] = map[string]any{name: option}
+			withOption, err := json.Marshal(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d := newTestDaemon(t, Config{Workers: 1, Reg: obs.New(), CacheSize: 8})
+			if got := post(d, withOption); !bytes.Equal(got, want) {
+				t.Fatalf("%q changed the response:\n%s\nvs\n%s", name, got, want)
+			}
+			var resp Response
+			if err := json.Unmarshal(post(d, plain), &resp); err != nil {
+				t.Fatal(err)
+			}
+			if r := resp.Results[0]; r.Status != StatusOK || !r.Cached {
+				t.Fatalf("plain request after the %q one: %+v, want an ok cache hit", name, r)
+			}
+		})
 	}
 }
 

@@ -85,14 +85,14 @@ func (d *Diff) Render(w io.Writer, topN int) {
 	}
 	fmt.Fprintf(w, "solveprof diff: %s -> %s\n", label(d.Old), label(d.New))
 	fmt.Fprintf(w, "  waste ratio (seg ops):  %s -> %s (%s)\n",
-		permilleStr(d.Old.Waste.SegOpsPerMille), permilleStr(d.New.Waste.SegOpsPerMille),
-		deltaStr(d.SegOpsPerMille))
+		FormatPerMille(d.Old.Waste.SegOpsPerMille), FormatPerMille(d.New.Waste.SegOpsPerMille),
+		FormatPerMilleDelta(d.SegOpsPerMille))
 	fmt.Fprintf(w, "  waste ratio (allocs):   %s -> %s (%s)\n",
-		permilleStr(d.Old.Waste.AllocsPerMille), permilleStr(d.New.Waste.AllocsPerMille),
-		deltaStr(d.AllocsPerMille))
+		FormatPerMille(d.Old.Waste.AllocsPerMille), FormatPerMille(d.New.Waste.AllocsPerMille),
+		FormatPerMilleDelta(d.AllocsPerMille))
 	fmt.Fprintf(w, "  death rate (born):      %s -> %s (%s)\n",
-		permilleStr(d.Old.Waste.DeathsPerMille), permilleStr(d.New.Waste.DeathsPerMille),
-		deltaStr(d.DeathsPerMille))
+		FormatPerMille(d.Old.Waste.DeathsPerMille), FormatPerMille(d.New.Waste.DeathsPerMille),
+		FormatPerMilleDelta(d.DeathsPerMille))
 	fmt.Fprintf(w, "  deaths: %d -> %d; wasted seg ops: %d -> %d\n",
 		d.Old.Totals.Deaths, d.New.Totals.Deaths, d.Old.Waste.SegOps, d.New.Waste.SegOps)
 	if len(d.Sites) == 0 {
@@ -117,8 +117,9 @@ func label(p *Profile) string {
 	return p.Source
 }
 
-// deltaStr renders a signed per-mille delta in percentage points.
-func deltaStr(pm int64) string {
+// FormatPerMilleDelta renders a signed per-mille delta in percentage
+// points ("+1.2pp").
+func FormatPerMilleDelta(pm int64) string {
 	sign := "+"
 	if pm < 0 {
 		sign, pm = "-", -pm

@@ -23,10 +23,10 @@ func Render(w io.Writer, p *Profile, topN int) {
 	}
 	fmt.Fprintf(w, " (%d run%s)\n", p.Runs, plural(p.Runs))
 	fmt.Fprintf(w, "  candidates: %d born, %d died (%s), %d survived to suite\n",
-		p.Totals.Born, p.Totals.Deaths, permilleStr(p.Waste.DeathsPerMille), p.Totals.Survived)
+		p.Totals.Born, p.Totals.Deaths, FormatPerMille(p.Waste.DeathsPerMille), p.Totals.Survived)
 	fmt.Fprintf(w, "  work: %d PWL seg ops (%d wasted, %s), %d allocs (%d wasted, %s), %d join pairings\n",
-		p.Totals.SegOps, p.Waste.SegOps, permilleStr(p.Waste.SegOpsPerMille),
-		p.Totals.Allocs, p.Waste.Allocs, permilleStr(p.Waste.AllocsPerMille),
+		p.Totals.SegOps, p.Waste.SegOps, FormatPerMille(p.Waste.SegOpsPerMille),
+		p.Totals.Allocs, p.Waste.Allocs, FormatPerMille(p.Waste.AllocsPerMille),
 		p.Totals.JoinPairings)
 	if p.Stats != nil {
 		fmt.Fprintf(w, "  solver: %d solutions created, %d prune calls, %d dropped, max set %d\n",
@@ -71,7 +71,7 @@ func Render(w io.Writer, p *Profile, topN int) {
 
 	fmt.Fprintf(w, "\n  predictive-pruning upper bound: removing all dead-candidate work would save\n")
 	fmt.Fprintf(w, "  up to %s of PWL segment ops and %s of candidate allocations.\n",
-		permilleStr(p.Waste.SegOpsPerMille), permilleStr(p.Waste.AllocsPerMille))
+		FormatPerMille(p.Waste.SegOpsPerMille), FormatPerMille(p.Waste.AllocsPerMille))
 }
 
 // topWasted returns the sites with the most dead-candidate seg ops,
@@ -112,8 +112,9 @@ func causesStr(r SiteRow) string {
 	return strings.Join(parts, " ")
 }
 
-// permilleStr renders an integer per-mille ratio as a percentage.
-func permilleStr(pm int64) string {
+// FormatPerMille renders an integer per-mille ratio as a percentage
+// ("12.3%").
+func FormatPerMille(pm int64) string {
 	return fmt.Sprintf("%d.%d%%", pm/10, pm%10)
 }
 

@@ -5,8 +5,8 @@
 // work?" — which construction rules at which topology nodes burn PWL
 // segment operations and allocations on candidates that die, how deep
 // those candidates survive before dying, and what the per-node
-// wavefront looked like. It is the measuring stick for the predictive
-// pruning work of ROADMAP open item 1.
+// wavefront looked like. It is the measuring stick for predictive
+// pruning (Li & Shi's buffer insertion, PAPERS.md).
 //
 // The artifact is deterministic by construction: every list is sorted
 // on a total key order, counters are order-independent sums, and no
