@@ -269,3 +269,22 @@ func TestCLIFailureFlushesObservability(t *testing.T) {
 		t.Errorf("output dir holds %q, want %q", names, want)
 	}
 }
+
+// TestCLIMsrnetctlErrorNamesToolOnce: a fleet-client failure prints the
+// tool name once, as every other command does, and exits 1. A non-JSON
+// -in file fails before any peer is contacted.
+func TestCLIMsrnetctlErrorNamesToolOnce(t *testing.T) {
+	bin := buildTools(t)
+	bad := filepath.Join(t.TempDir(), "bad.json")
+	if err := os.WriteFile(bad, []byte("not json"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, err := exec.Command(filepath.Join(bin, "msrnetctl"), "-peers", "http://127.0.0.1:1", "-in", bad).CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("msrnetctl -in on a non-JSON file: %v, want exit status 1\n%s", err, out)
+	}
+	if n := strings.Count(string(out), "msrnetctl:"); n != 1 || !strings.Contains(string(out), "decode "+bad) {
+		t.Errorf("msrnetctl names itself %d times, want once before the decode error:\n%s", n, out)
+	}
+}

@@ -266,7 +266,7 @@ func readRequest(path string) (*service.Request, error) {
 	}
 	var req service.Request
 	if err := json.Unmarshal(data, &req); err != nil {
-		return nil, fmt.Errorf("msrnetctl: decode %s: %w", path, err)
+		return nil, fmt.Errorf("decode %s: %w", path, err)
 	}
 	return &req, nil
 }
@@ -297,7 +297,7 @@ func printRecovered(ctx context.Context, peer, key string, keep bool) error {
 		return err
 	}
 	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("msrnetctl: %s: HTTP %d: %s", url, resp.StatusCode, strings.TrimSpace(string(body)))
+		return fmt.Errorf("%s: HTTP %d: %s", url, resp.StatusCode, strings.TrimSpace(string(body)))
 	}
 	var pretty json.RawMessage = body
 	enc := json.NewEncoder(os.Stdout)
@@ -318,7 +318,7 @@ func printVersion(ctx context.Context, peer string) error {
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("msrnetctl: %s/version: HTTP %d", peer, resp.StatusCode)
+		return fmt.Errorf("%s/version: HTTP %d", peer, resp.StatusCode)
 	}
 	body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
 	if err != nil {

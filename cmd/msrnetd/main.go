@@ -166,7 +166,7 @@ func serve(run *cliflags.Run) error {
 		process = strings.TrimRight(*clAddr, "/")
 	}
 	spanIdx := spans.NewIndex(spans.Options{Process: process})
-	rec.SetSpans(func() any { return spanIdx.Dump() })
+	rec.SetSource(recorder.FileSpans, func() any { return spanIdx.Dump() })
 
 	var tenants []service.TenantConfig
 	if *tenantsCfg != "" {

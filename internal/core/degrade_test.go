@@ -5,6 +5,8 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -110,43 +112,107 @@ func TestOptimizeHonorsContext(t *testing.T) {
 
 // pollContext is a live context whose Err starts failing with
 // DeadlineExceeded at the failAt-th poll (never when failAt is 0), and
-// which counts the polls.
+// which counts the polls; with record set it also keeps the site of
+// each poll (see pollSite).
 type pollContext struct {
 	context.Context
 	failAt, polls int
+	record        bool
+	sites         []string
 }
 
 func (c *pollContext) Err() error {
 	c.polls++
+	if c.record {
+		c.sites = append(c.sites, pollSite())
+	}
 	if c.failAt > 0 && c.polls >= c.failAt {
 		return context.DeadlineExceeded
 	}
 	return nil
 }
 
-// TestOptimizeDeadlineAtEveryPoll: wherever in the walk the deadline
-// hits, Optimize reports it as the context's error — including at the
-// last poll, inside the root edge's wire-width augment, where a prune
-// that unwinds leaves nothing for the suite.
-func TestOptimizeDeadlineAtEveryPoll(t *testing.T) {
-	tr, err := netgen.Generate(1, netgen.Defaults(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt := tr.RootAt(tr.Terminals()[0])
-	opt := core.Options{Repeaters: true, WireWidths: []float64{1, 2}}
-	live := &pollContext{Context: context.Background()}
-	opt.Context = live
-	if _, err := core.Optimize(rt, buslib.Default(), opt); err != nil {
-		t.Fatal(err)
-	}
-	if live.polls < 2 {
-		t.Fatalf("a full run polled %d times; the test needs a walk that polls", live.polls)
-	}
-	for failAt := 1; failAt <= live.polls; failAt++ {
-		opt.Context = &pollContext{Context: context.Background(), failAt: failAt}
-		if _, err := core.Optimize(rt, buslib.Default(), opt); !errors.Is(err, context.DeadlineExceeded) {
-			t.Errorf("deadline from poll %d of %d: err=%v, want context.DeadlineExceeded", failAt, live.polls, err)
+// pollSite names the DP method that polled, read off the stack as the
+// caller of the DP's aborted: "solveNode" (a node visit), "prune" (prune
+// entry), "joinSets" (a join row) or "poll" (inside a prune pass).
+func pollSite() string {
+	pcs := make([]uintptr, 32)
+	frames := runtime.CallersFrames(pcs[:runtime.Callers(1, pcs)])
+	for polled := false; ; {
+		f, more := frames.Next()
+		if polled {
+			return f.Function[strings.LastIndex(f.Function, ".")+1:]
 		}
+		polled = strings.HasSuffix(f.Function, ".(*dp).aborted")
+		if !more {
+			return ""
+		}
+	}
+}
+
+// TestOptimizeDeadlineAtEveryPoll: wherever in the walk the deadline
+// hits, Optimize reports it as the context's error — at node visits and
+// prune entry, inside a join or a prune's MFS, and at the last poll,
+// inside the root edge's wire-width augment, where a prune that unwinds
+// leaves nothing for the suite. The 3-pin repeater net polls about two
+// thousand times, most of them inside joins and prunes; to keep the test
+// to seconds, it fails the context at every node-visit and prune-entry
+// poll, at every 128th of the others, and at the last three.
+func TestOptimizeDeadlineAtEveryPoll(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		pins int
+		opt  core.Options
+		// every samples the polls inside joins and prune passes: the
+		// deadline hits at every every-th of them.
+		every int
+	}{
+		{"2-pin wire sizing", 2, core.Options{WireWidths: []float64{1, 2}}, 1},
+		{"3-pin repeaters and wire sizing", 3, core.Options{Repeaters: true, WireWidths: []float64{1, 2}}, 128},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tr, err := netgen.Generate(1, netgen.Defaults(tc.pins))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rt := tr.RootAt(tr.Terminals()[0])
+			opt := tc.opt
+			live := &pollContext{Context: context.Background(), record: true}
+			opt.Context = live
+			res, err := core.Optimize(rt, buslib.Default(), opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			entry := func(site string) bool { return site == "solveNode" || site == "prune" }
+			entries, inPrune := 0, 0
+			for _, site := range live.sites {
+				switch {
+				case entry(site):
+					entries++
+				case site == "poll":
+					inPrune++
+				}
+			}
+			if want := res.Stats.NodesVisited + res.Stats.PruneCalls; entries != want {
+				t.Fatalf("%d polls at node visits and prune entry, want one per node and prune (%d)", entries, want)
+			}
+			if inPrune == 0 {
+				t.Fatalf("none of the run's %d polls came from inside a prune; the test needs a walk that polls there", live.polls)
+			}
+			inner := 0
+			for failAt := 1; failAt <= live.polls; failAt++ {
+				site := live.sites[failAt-1]
+				if !entry(site) {
+					inner++
+					if inner%tc.every != 0 && failAt <= live.polls-3 {
+						continue
+					}
+				}
+				opt.Context = &pollContext{Context: context.Background(), failAt: failAt}
+				if _, err := core.Optimize(rt, buslib.Default(), opt); !errors.Is(err, context.DeadlineExceeded) {
+					t.Errorf("deadline from poll %d of %d (%s): err=%v, want context.DeadlineExceeded", failAt, live.polls, site, err)
+				}
+			}
+		})
 	}
 }

@@ -77,8 +77,9 @@ type Options struct {
 	// once when the run ends or aborts. A nil Obs keeps the hot paths
 	// allocation-free.
 	Obs *obs.Registry
-	// Context, when non-nil, is polled at every node visit and prune
-	// call; once it is canceled or past its deadline the run unwinds and
+	// Context, when non-nil, is polled at every node visit, every prune
+	// call, every row of a join and every 1,024 dominance tests inside a
+	// prune; once it is canceled or past its deadline the run unwinds and
 	// Optimize returns an error wrapping ctx.Err() (test with
 	// errors.Is(err, context.DeadlineExceeded) etc.). Partial work is
 	// discarded — the suite is never silently truncated.
@@ -340,12 +341,16 @@ type dp struct {
 
 	stats Stats
 	err   error // first error; once set the walk unwinds
+	tests uint  // dominance tests run under a context; every pollEvery-th polls it
 }
 
 // aborted polls the run's context (the periodic deadline check of the
 // DP) and reports whether the walk should unwind. It is called at every
-// node visit and every prune call — the two places where the remaining
-// work between checks is bounded by a single set operation.
+// node visit, at every prune call, at every row of a join and, inside a
+// prune, after every pollEvery dominance tests (dp.poll), so the work
+// between two polls is at most pollEvery tests, one join row, or one
+// pass linear in a set (an augment, a repeater batch, the sort at prune
+// entry).
 func (d *dp) aborted() bool {
 	if d.err == nil && d.ctx != nil {
 		if err := d.ctx.Err(); err != nil {
@@ -415,11 +420,14 @@ func (d *dp) prune(sols []*Solution, site string, v int) []*Solution {
 	var out []*Solution
 	switch d.opt.Pruner {
 	case PruneNaive:
-		out = pruneNaive(sortedCopy(sols), d.opt.CoarseEps, d.lp)
+		out = d.pruneNaive(sortedCopy(sols))
 	case PruneOff:
 		out = sols
 	default:
-		out = pruneDivide(sortedCopy(sols), d.opt.CoarseEps, d.lp)
+		out = d.pruneDivide(sortedCopy(sols))
+	}
+	if d.err != nil {
+		return nil
 	}
 	drops := len(sols) - len(out)
 	d.stats.PruneCalls++
@@ -529,10 +537,15 @@ func (d *dp) augment(sols []*Solution, eid, v int) []*Solution {
 
 // joinSets implements JoinSets (Fig. 7): combine the solution sets of two
 // branches meeting at a common (Steiner) node v. Each pairing sees the
-// sibling's capacitance as additional external load.
+// sibling's capacitance as additional external load. The product can
+// hold millions of candidates, so the context is polled once per row
+// of it; an aborted join returns nil, which prune passes on.
 func (d *dp) joinSets(s1, s2 []*Solution, v int) []*Solution {
 	out := make([]*Solution, 0, len(s1)*len(s2))
 	for _, a := range s1 {
+		if d.aborted() {
+			return nil
+		}
 		for _, b := range s2 {
 			parity := a.Parity
 			if a.Parity != b.Parity {

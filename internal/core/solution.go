@@ -201,14 +201,33 @@ func scalarLeq(a, b, tol float64) bool {
 	return a <= b+tol
 }
 
+// pollEvery is the number of dominance tests a prune pass runs between
+// two polls of the run's context. One prune of a large set can run
+// millions of tests, so polling only at prune entry would let it
+// overrun a deadline by its whole length.
+const pollEvery = 1024
+
+// poll counts one dominance test of a prune pass and polls the run's
+// context after every pollEvery of them. It reports whether the walk
+// unwinds; the pass then returns nil at once, as prune does. The
+// passes call it only when a context is installed, so without one it
+// adds no work.
+func (d *dp) poll() bool {
+	d.tests++
+	if d.tests%pollEvery == 0 {
+		d.aborted()
+	}
+	return d.err != nil
+}
+
 // pruneNaive computes the minimal functional subset of work by pairwise
 // comparison (O(k²) pairs). work must be in sortedCopy's order; it is
 // pruned in place, and the survivors, still in that order, are returned
 // as a prefix of it. Solutions whose domain becomes empty are removed;
-// surviving solutions may carry reduced domains. lp, when non-nil,
-// receives one death attribution per candidate at the subtraction that
-// empties its domain.
-func pruneNaive(work []*Solution, eps float64, lp *LifecycleProfile) []*Solution {
+// surviving solutions may carry reduced domains. The lifecycle
+// profile, when on, receives one death attribution per candidate at
+// the subtraction that empties its domain.
+func (d *dp) pruneNaive(work []*Solution) []*Solution {
 	for i := range work {
 		if work[i].Dom.IsEmpty() {
 			continue
@@ -217,15 +236,18 @@ func pruneNaive(work []*Solution, eps float64, lp *LifecycleProfile) []*Solution
 			if i == j || work[j].Dom.IsEmpty() {
 				continue
 			}
-			reg := dominatedRegion(work[i], work[j], eps)
+			if d.ctx != nil && d.poll() {
+				return nil
+			}
+			reg := dominatedRegion(work[i], work[j], d.opt.CoarseEps)
 			if reg.IsEmpty() {
 				continue
 			}
 			cp := *work[j]
 			cp.Dom = work[j].Dom.Subtract(reg)
-			if lp != nil {
+			if d.lp != nil {
 				if cp.Dom.IsEmpty() {
-					lp.kill(work[i], work[j], eps)
+					d.lp.kill(work[i], work[j], d.opt.CoarseEps)
 				} else if cp.lc != nil {
 					cp.lc.domCut = true
 				}
@@ -249,8 +271,8 @@ func pruneNaive(work []*Solution, eps float64, lp *LifecycleProfile) []*Solution
 // source of the speedup in practice. work must be in sortedCopy's order;
 // the survivors keep that order, because every pass below keeps a
 // subsequence of its sorted input.
-func pruneDivide(work []*Solution, eps float64, lp *LifecycleProfile) []*Solution {
-	out := mfsRec(work, eps, lp)
+func (d *dp) pruneDivide(work []*Solution) []*Solution {
+	out := d.mfsRec(work)
 	final := out[:0]
 	for _, s := range out {
 		if !s.Dom.IsEmpty() {
@@ -261,8 +283,8 @@ func pruneDivide(work []*Solution, eps float64, lp *LifecycleProfile) []*Solutio
 }
 
 // mfsRec returns the survivors of the sorted slice sols in their input
-// order, so its output is sorted too.
-func mfsRec(sols []*Solution, eps float64, lp *LifecycleProfile) []*Solution {
+// order, so its output is sorted too; nil once the walk unwinds.
+func (d *dp) mfsRec(sols []*Solution) []*Solution {
 	if len(sols) <= 1 {
 		return sols
 	}
@@ -270,21 +292,24 @@ func mfsRec(sols []*Solution, eps float64, lp *LifecycleProfile) []*Solution {
 		// Prune a copy: in place, every domain-cut copy pruneNaive makes
 		// would stay reachable from the caller's array until the whole
 		// prune returns, instead of dying with this level's cross-prune.
-		return pruneNaive(slices.Clone(sols), eps, lp)
+		return d.pruneNaive(slices.Clone(sols))
 	}
 	mid := len(sols) / 2
-	left := mfsRec(sols[:mid], eps, lp)
-	right := mfsRec(sols[mid:], eps, lp)
+	left := d.mfsRec(sols[:mid])
+	right := d.mfsRec(sols[mid:])
 	// Cross-prune: right against left, then left against the surviving
 	// right.
-	right = pruneAgainst(right, left, eps, lp)
-	left = pruneAgainst(left, right, eps, lp)
+	right = d.pruneAgainst(right, left)
+	left = d.pruneAgainst(left, right)
+	if d.err != nil {
+		return nil
+	}
 	return append(left, right...)
 }
 
 // pruneAgainst shrinks the domains of targets using the members of
-// pruners, returning the surviving targets.
-func pruneAgainst(targets, prunners []*Solution, eps float64, lp *LifecycleProfile) []*Solution {
+// pruners, returning the surviving targets; nil once the walk unwinds.
+func (d *dp) pruneAgainst(targets, prunners []*Solution) []*Solution {
 	out := make([]*Solution, 0, len(targets))
 	for _, t := range targets {
 		cur := t
@@ -292,16 +317,19 @@ func pruneAgainst(targets, prunners []*Solution, eps float64, lp *LifecycleProfi
 			if s.Dom.IsEmpty() || cur.Dom.IsEmpty() {
 				continue
 			}
-			reg := dominatedRegion(s, cur, eps)
+			if d.ctx != nil && d.poll() {
+				return nil
+			}
+			reg := dominatedRegion(s, cur, d.opt.CoarseEps)
 			if reg.IsEmpty() {
 				continue
 			}
 			nd := cur.Dom.Subtract(reg)
 			cp := *cur
 			cp.Dom = nd
-			if lp != nil {
+			if d.lp != nil {
 				if nd.IsEmpty() {
-					lp.kill(s, cur, eps)
+					d.lp.kill(s, cur, d.opt.CoarseEps)
 				} else if cp.lc != nil {
 					cp.lc.domCut = true
 				}

@@ -34,11 +34,25 @@ const (
 	fileTrace      = "trace.json"
 	fileGoroutines = "goroutines.txt"
 	fileHeap       = "heap.pb.gz"
-	fileJobs       = "jobs.json"
-	fileCluster    = "cluster.json"
-	fileTenants    = "tenants.json"
-	fileSpans      = "spans.json"
 )
+
+// File names of the bundle sources a daemon installs with SetSource.
+const (
+	// FileJobs holds the in-flight and recent per-job explain reports.
+	FileJobs = "jobs.json"
+	// FileCluster holds the fleet peer view (msrnet-cluster/v1).
+	FileCluster = "cluster.json"
+	// FileTenants holds the tenancy runtime: quota fill, fair-share
+	// position and per-tenant counters.
+	FileTenants = "tenants.json"
+	// FileSpans holds the span-index dump (msrnet-spans/v1), which
+	// msrnetctl postmortem -trace reads back.
+	FileSpans = "spans.json"
+)
+
+// sourceFiles are the files SetSource accepts, in the order every
+// bundle writes them.
+var sourceFiles = [...]string{FileJobs, FileCluster, FileTenants, FileSpans}
 
 // Manifest is the bundle's index: what triggered the capture, when,
 // under which daemon configuration, and which files were written.
@@ -119,25 +133,14 @@ func (f *FlightRecorder) fillBundle(dir string, now time.Time, seq int64, reason
 		return err
 	}
 	f.mu.Lock()
-	jobs, clusterFn, tenantsFn, spansFn := f.jobs, f.cluster, f.tenants, f.spans
+	sources := f.sources
 	f.mu.Unlock()
-	if jobs != nil {
-		if err := keep(fileJobs, writeJSONFile(filepath.Join(dir, fileJobs), jobs())); err != nil {
-			return err
+	for i, fn := range sources {
+		if fn == nil {
+			continue
 		}
-	}
-	if clusterFn != nil {
-		if err := keep(fileCluster, writeJSONFile(filepath.Join(dir, fileCluster), clusterFn())); err != nil {
-			return err
-		}
-	}
-	if tenantsFn != nil {
-		if err := keep(fileTenants, writeJSONFile(filepath.Join(dir, fileTenants), tenantsFn())); err != nil {
-			return err
-		}
-	}
-	if spansFn != nil {
-		if err := keep(fileSpans, writeJSONFile(filepath.Join(dir, fileSpans), spansFn())); err != nil {
+		name := sourceFiles[i]
+		if err := keep(name, writeJSONFile(filepath.Join(dir, name), fn())); err != nil {
 			return err
 		}
 	}
@@ -306,7 +309,7 @@ func LoadBundle(dir string) (*Bundle, error) {
 	if err := readJSONFile(filepath.Join(dir, fileMetrics), &b.Metrics); err != nil {
 		return nil, fmt.Errorf("recorder: loading metrics: %w", err)
 	}
-	if err := readJSONFile(filepath.Join(dir, fileJobs), &b.Jobs); err != nil && !os.IsNotExist(err) {
+	if err := readJSONFile(filepath.Join(dir, FileJobs), &b.Jobs); err != nil && !os.IsNotExist(err) {
 		return nil, fmt.Errorf("recorder: loading jobs: %w", err)
 	}
 	if data, err := os.ReadFile(filepath.Join(dir, fileGoroutines)); err == nil {
@@ -315,14 +318,14 @@ func LoadBundle(dir string) (*Bundle, error) {
 			b.GoroutineCount++
 		}
 	}
-	if err := readJSONFile(filepath.Join(dir, fileSpans), &b.Spans); err != nil && !os.IsNotExist(err) {
+	if err := readJSONFile(filepath.Join(dir, FileSpans), &b.Spans); err != nil && !os.IsNotExist(err) {
 		return nil, fmt.Errorf("recorder: loading spans: %w", err)
 	}
 	b.HasTrace = fileExists(filepath.Join(dir, fileTrace))
 	b.HasHeap = fileExists(filepath.Join(dir, fileHeap))
-	b.HasCluster = fileExists(filepath.Join(dir, fileCluster))
-	b.HasTenants = fileExists(filepath.Join(dir, fileTenants))
-	b.HasSpans = fileExists(filepath.Join(dir, fileSpans))
+	b.HasCluster = fileExists(filepath.Join(dir, FileCluster))
+	b.HasTenants = fileExists(filepath.Join(dir, FileTenants))
+	b.HasSpans = fileExists(filepath.Join(dir, FileSpans))
 	return b, nil
 }
 

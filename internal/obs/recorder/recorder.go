@@ -22,6 +22,7 @@ package recorder
 import (
 	"fmt"
 	"log/slog"
+	"slices"
 	"sync"
 	"time"
 
@@ -50,8 +51,9 @@ const (
 type Config struct {
 	// Reg is the sampled registry (required): its snapshot carries the
 	// svc/* serving metrics, the window quantiles and the core/* DP
-	// aggregates. EnableRuntime state is irrelevant — the recorder reads
-	// the runtime directly into each sample.
+	// aggregates. Each sample carries the runtime state either way: with
+	// EnableRuntime on it is the snapshot's own read, otherwise the
+	// recorder reads the runtime itself.
 	Reg *obs.Registry
 	// Tracer, when non-nil, is dumped (Chrome trace JSON) into bundles.
 	Tracer *trace.Tracer
@@ -103,10 +105,7 @@ type FlightRecorder struct {
 	ring    []Sample // grows to capacity, then circular with next as the oldest slot
 	next    int
 	evals   []*ruleEval
-	jobs    func() any
-	cluster func() any
-	tenants func() any
-	spans   func() any
+	sources [len(sourceFiles)]func() any // by sourceFiles index; nil leaves the file out
 	seq     int64
 	lastAut time.Time // last automatic bundle write, for the cooldown
 	ticks   int64
@@ -157,59 +156,22 @@ func New(cfg Config) *FlightRecorder {
 	return f
 }
 
-// SetJobs installs the per-job report source: a function returning a
-// JSON-serializable view of the in-flight and recent jobs (the serving
-// layer wires its explain table here). Safe to call before or after
-// Start; nil clears it.
-func (f *FlightRecorder) SetJobs(fn func() any) {
+// SetSource installs the content of one bundle file: file is FileJobs,
+// FileCluster, FileTenants or FileSpans (any other name panics), and fn
+// returns the JSON-serializable view each bundle writes under that
+// name. Bundles write these files in that fixed order, whatever order
+// they were installed in. Safe to call before or after Start; a nil fn
+// leaves the file out.
+func (f *FlightRecorder) SetSource(file string, fn func() any) {
 	if f == nil {
 		return
 	}
-	f.mu.Lock()
-	f.jobs = fn
-	f.mu.Unlock()
-}
-
-// SetCluster installs the fleet-membership source: a function returning
-// a JSON-serializable peer view (msrnet-cluster/v1), written into
-// bundles as cluster.json so an incident report can say what the fleet
-// looked like at capture. Safe to call before or after Start; nil
-// clears it.
-func (f *FlightRecorder) SetCluster(fn func() any) {
-	if f == nil {
-		return
+	i := slices.Index(sourceFiles[:], file)
+	if i < 0 {
+		panic("recorder: unknown bundle source " + file)
 	}
 	f.mu.Lock()
-	f.cluster = fn
-	f.mu.Unlock()
-}
-
-// SetTenants installs the tenancy source: a function returning a
-// JSON-serializable view of the daemon's tenants (msrnet-tenants/v1
-// runtime state — quota fill, fair-share position, per-tenant
-// counters), written into bundles as tenants.json so an incident
-// report can say who was being throttled or starved at capture. Safe
-// to call before or after Start; nil clears it.
-func (f *FlightRecorder) SetTenants(fn func() any) {
-	if f == nil {
-		return
-	}
-	f.mu.Lock()
-	f.tenants = fn
-	f.mu.Unlock()
-}
-
-// SetSpans installs the distributed-tracing source: a function
-// returning the process's span-index dump (msrnet-spans/v1), written
-// into bundles as spans.json so the traces of a crashed daemon survive
-// into the postmortem — msrnetctl postmortem -trace reads them back. Safe to
-// call before or after Start; nil clears it.
-func (f *FlightRecorder) SetSpans(fn func() any) {
-	if f == nil {
-		return
-	}
-	f.mu.Lock()
-	f.spans = fn
+	f.sources[i] = fn
 	f.mu.Unlock()
 }
 
@@ -247,10 +209,12 @@ func (f *FlightRecorder) Stop() {
 
 // tick takes one sample, evaluates the rules and fires on rising edges.
 func (f *FlightRecorder) tick(now time.Time) {
-	s := Sample{
-		TimeUnixMs: now.UnixMilli(),
-		Metrics:    f.cfg.Reg.Snapshot(),
-		Runtime:    obs.ReadRuntime(),
+	s := Sample{TimeUnixMs: now.UnixMilli(), Metrics: f.cfg.Reg.Snapshot()}
+	// A registry with runtime stats on has just read the runtime.
+	if rt := s.Metrics.Runtime; rt != nil {
+		s.Runtime = *rt
+	} else {
+		s.Runtime = obs.ReadRuntime()
 	}
 	f.mu.Lock()
 	f.push(s) // pushed before evaluation so rules see the newest sample

@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -179,7 +180,7 @@ func TestTriggerWritesBundleAndRetention(t *testing.T) {
 		Reg: reg, Tracer: tr, Dir: dir, Interval: time.Hour,
 		MaxBundles: 2, Info: map[string]string{"version": "test"}, Logger: quiet(),
 	})
-	f.SetJobs(func() any {
+	f.SetSource(FileJobs, func() any {
 		return JobsDump{Recent: []JobReport{{
 			JobID: "j1", Label: "net-1", TraceID: "trace-1", Outcome: "error", Code: "internal", TotalMs: 12.5,
 			Solve: &JobSolve{SolutionsCreated: 4300, Dropped: 2000, PruneCalls: 30, MaxSetSize: 140},
@@ -239,6 +240,35 @@ func TestTriggerWritesBundleAndRetention(t *testing.T) {
 	}
 }
 
+// TestSourceFileOrder: a bundle writes the installed source files in
+// the fixed order FileJobs, FileCluster, FileTenants, FileSpans,
+// whatever order they were installed in, so the manifest does not
+// depend on how a daemon wires its sources.
+func TestSourceFileOrder(t *testing.T) {
+	dir := t.TempDir()
+	f := New(Config{Reg: obs.New(), Dir: dir, Interval: time.Hour, Logger: quiet()})
+	for _, file := range []string{FileSpans, FileTenants, FileJobs} {
+		f.SetSource(file, func() any { return map[string]string{"file": file} })
+	}
+	d, err := f.Trigger(ReasonManual, "order")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := LoadBundle(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, name := range b.Manifest.Files {
+		if slices.Contains(sourceFiles[:], name) {
+			got = append(got, name)
+		}
+	}
+	if want := []string{FileJobs, FileTenants, FileSpans}; !slices.Equal(got, want) {
+		t.Errorf("source files in the manifest: %v, want %v", got, want)
+	}
+}
+
 // TestFailedCaptureLeavesNoBundle: a capture that fails part-way
 // (here the jobs view holds a NaN, which JSON cannot encode) returns an
 // error and leaves nothing in Dir — no manifest-less bundle for
@@ -246,7 +276,7 @@ func TestTriggerWritesBundleAndRetention(t *testing.T) {
 func TestFailedCaptureLeavesNoBundle(t *testing.T) {
 	dir := t.TempDir()
 	f := New(Config{Reg: obs.New(), Dir: dir, Interval: time.Hour, Logger: quiet()})
-	f.SetJobs(func() any { return math.NaN() })
+	f.SetSource(FileJobs, func() any { return math.NaN() })
 	if d, err := f.Trigger(ReasonManual, "unencodable jobs"); err == nil {
 		t.Fatalf("capture of an unencodable jobs view succeeded: %s", d)
 	}
@@ -285,7 +315,7 @@ func TestNilRecorderIsInert(t *testing.T) {
 	var f *FlightRecorder
 	f.Start()
 	f.Stop()
-	f.SetJobs(nil)
+	f.SetSource(FileJobs, nil)
 	if s := f.Samples(5); s != nil {
 		t.Fatal("nil recorder returned samples")
 	}
@@ -325,7 +355,7 @@ func TestWriteReport(t *testing.T) {
 	reg.Gauge("svc/queue_depth").Set(2)
 	f := New(Config{Reg: reg, Dir: dir, Interval: time.Hour, Logger: quiet(),
 		Info: map[string]string{"go": "test"}})
-	f.SetJobs(func() any {
+	f.SetSource(FileJobs, func() any {
 		return JobsDump{
 			Active: []JobReport{{JobID: "j9", Label: "net-9", State: "running", Mode: "msri", TraceID: "t-9"}},
 			Recent: []JobReport{

@@ -228,6 +228,7 @@ type Span struct {
 	peer  string
 	attrs map[string]string
 	ended bool
+	dur   time.Duration // set by the first End
 }
 
 // Start opens a span named name on the context's trace, parenting it to
@@ -288,31 +289,48 @@ func (s *Span) Set(key, val string) {
 	s.mu.Unlock()
 }
 
-// End closes the span and files it under its trace. End is idempotent;
-// only the first call records.
-func (s *Span) End() {
+// End closes the span, files it under its trace and returns its
+// duration — also when the per-trace bound drops the record, so a
+// caller can time an interval by its span alone. End is idempotent:
+// only the first call records, and later calls return its duration.
+// A nil span returns 0.
+func (s *Span) End() time.Duration {
 	if s == nil {
-		return
+		return 0
 	}
 	endNs := s.idx.nowNs()
 	s.mu.Lock()
 	if s.ended {
 		s.mu.Unlock()
-		return
+		return s.dur
 	}
 	s.ended = true
+	dur := time.Duration(endNs - s.startNs)
+	s.dur = dur
 	rec := Record{
 		ID:           s.id,
 		Parent:       s.parent,
 		ParentRemote: s.remote,
 		Name:         s.name,
 		StartUnixNs:  s.startNs,
-		DurNs:        endNs - s.startNs,
+		DurNs:        int64(dur),
 		Peer:         s.peer,
 		Attrs:        s.attrs,
 	}
 	s.mu.Unlock()
 	s.idx.add(s.traceID, rec)
+	return dur
+}
+
+// Elapsed returns the time since the span started, on the index's
+// clock, whether or not the span has ended. It times an interval that
+// starts with a span but ends where no span does, such as a job's
+// total from its queue span. A nil span returns 0.
+func (s *Span) Elapsed() time.Duration {
+	if s == nil {
+		return 0
+	}
+	return time.Duration(s.idx.nowNs() - s.startNs)
 }
 
 // add files one finished span, evicting the least-recently-touched

@@ -149,6 +149,40 @@ func TestEndIsIdempotent(t *testing.T) {
 	}
 }
 
+// TestEndReturnsDuration: End returns the span's duration on the
+// index's clock — also when the per-trace bound drops the record, and
+// again on a repeated End — and Elapsed reads that clock from the
+// span's start. Every fake-clock reading advances 1ms.
+func TestEndReturnsDuration(t *testing.T) {
+	x := testIndex(t, Options{MaxSpans: 1})
+	ctx := traced("0123456789abcdef")
+	_, kept := x.Start(ctx, "kept")
+	if got := kept.End(); got != time.Millisecond {
+		t.Errorf("kept span lasted %v, want 1ms", got)
+	}
+	_, dropped := x.Start(ctx, "dropped")
+	if got := dropped.Elapsed(); got != time.Millisecond {
+		t.Errorf("open span elapsed %v, want 1ms", got)
+	}
+	if got := dropped.End(); got != 2*time.Millisecond {
+		t.Errorf("dropped span lasted %v, want 2ms", got)
+	}
+	if got := dropped.End(); got != 2*time.Millisecond {
+		t.Errorf("repeated End returned %v, want the first duration 2ms", got)
+	}
+	if got := dropped.Elapsed(); got != 4*time.Millisecond {
+		t.Errorf("ended span elapsed %v, want 4ms", got)
+	}
+	exp, _ := x.Export("0123456789abcdef")
+	if len(exp.Spans) != 1 || exp.Dropped != 1 {
+		t.Fatalf("kept %d spans and dropped %d, want 1 and 1", len(exp.Spans), exp.Dropped)
+	}
+	var none *Span
+	if none.End() != 0 || none.Elapsed() != 0 {
+		t.Error("a nil span must read 0")
+	}
+}
+
 func TestExportIsByteIdentical(t *testing.T) {
 	build := func() []byte {
 		clock := newFakeClock()

@@ -64,9 +64,8 @@ func I(key string, v int) Arg { return Arg{Key: key, Val: int64(v)} }
 // S builds a string-valued Arg. The value is interned on record, so a
 // bounded vocabulary (site names, outcome classes) is free; unbounded
 // vocabularies (per-request trace IDs) grow the intern table one entry
-// per distinct value until the tracer's intern cap, after which new
-// strings collapse to "(interned-overflow)" — the ring stays bounded
-// regardless.
+// per distinct value until the ring wraps, when the table is rebuilt
+// from the strings the retained events still use.
 func S(key, val string) Arg { return Arg{Key: key, Str: val, IsStr: true} }
 
 // maxArgs is the per-event argument capacity. Events carrying more are
@@ -109,10 +108,13 @@ type Tracer struct {
 	next  int    // overwrite cursor, meaningful once the ring is full
 	total uint64 // events ever recorded (total − len kept = dropped)
 
-	// Interning table for names, categories and arg keys. The vocabulary
-	// is the set of instrumentation sites, a few dozen strings at most.
-	strs []string
-	ids  map[string]uint32
+	// Interning table for names, categories, arg keys and string arg
+	// values. Rebuilt at every wrap of the ring (compact), so it holds
+	// the retained events' strings plus at most one ring's worth of
+	// newer ones.
+	strs      []string
+	ids       map[string]uint32
+	compacted int // len(strs) after the last compact
 }
 
 // New returns a tracer with the given ring capacity (DefaultCapacity
@@ -129,32 +131,56 @@ func New(capacity int) *Tracer {
 	}
 }
 
-// maxInterned caps the interning table. Event names, categories and
-// arg keys are a few dozen strings, but string arg *values* include
-// per-request trace IDs, which are unbounded over a daemon's lifetime;
-// the cap turns that into a bounded (≈2 MB worst-case) table instead
-// of a slow leak. Strings arriving past the cap all map to one
-// overflow id.
-const maxInterned = 1 << 16
-
-// internedOverflow replaces string values interned past the cap.
-const internedOverflow = "(interned-overflow)"
-
-// intern maps a string to its stable id, assigning one on first sight.
+// intern maps a string to its id, assigning one on first sight.
 // Callers must hold t.mu. Lookups of known strings do not allocate,
 // which keeps steady-state recording allocation-free.
 func (t *Tracer) intern(s string) uint32 {
 	if id, ok := t.ids[s]; ok {
 		return id
 	}
-	if len(t.strs) >= maxInterned-1 && s != internedOverflow {
-		// Table full: reserve the last slot for the overflow marker.
-		return t.intern(internedOverflow)
-	}
 	id := uint32(len(t.strs))
 	t.strs = append(t.strs, s)
 	t.ids[s] = id
 	return id
+}
+
+// compact rebuilds the interning table from the strings the retained
+// events use and renumbers the slots to match. Event names, categories
+// and arg keys are a few dozen strings, but string arg values include
+// per-request trace IDs, unbounded over a daemon's lifetime; compacting
+// at every wrap of the ring drops the overwritten events' strings, so
+// the table stays bounded by what one ring can hold and a new trace ID
+// always keeps its own id. A table that has not grown since the last
+// compact is left as it is, so a fixed vocabulary records without
+// allocating. Callers must hold t.mu.
+func (t *Tracer) compact() {
+	if len(t.strs) == t.compacted {
+		return
+	}
+	renum := make([]uint32, len(t.strs)) // old id → new id + 1; 0 = not yet seen
+	strs := make([]string, 0, len(t.ids))
+	ids := make(map[string]uint32, len(t.ids))
+	re := func(old uint32) uint32 {
+		if n := renum[old]; n != 0 {
+			return n - 1
+		}
+		id := uint32(len(strs))
+		strs = append(strs, t.strs[old])
+		ids[t.strs[old]] = id
+		renum[old] = id + 1
+		return id
+	}
+	for i := range t.slots {
+		sl := &t.slots[i]
+		sl.name, sl.cat = re(sl.name), re(sl.cat)
+		for a := 0; a < int(sl.nargs); a++ {
+			sl.keys[a] = re(sl.keys[a])
+			if sl.strMask&(1<<a) != 0 {
+				sl.vals[a] = int64(re(uint32(sl.vals[a])))
+			}
+		}
+	}
+	t.strs, t.ids, t.compacted = strs, ids, len(strs)
 }
 
 // Enabled reports whether events will actually be kept; it lets callers
@@ -228,6 +254,7 @@ func (t *Tracer) record(name, cat string, phase byte, ts, dur time.Duration, arg
 		t.next++
 		if t.next == cap(t.slots) {
 			t.next = 0
+			t.compact()
 		}
 	}
 	t.total++

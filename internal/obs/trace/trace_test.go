@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -255,5 +256,51 @@ func TestWriteJSONFilter(t *testing.T) {
 	}
 	if got := events("t-404"); len(got) != 0 {
 		t.Errorf("filter t-404: %v", got)
+	}
+}
+
+// TestInternTableFollowsTheRing: a daemon tags every DP event with
+// per-request trace and job IDs, an unbounded vocabulary. Sending 100k
+// distinct IDs through a small ring keeps every retained event's tags,
+// the newest trace stays filterable, and the intern table stays
+// bounded by what the ring can hold.
+func TestInternTableFollowsTheRing(t *testing.T) {
+	const ringCap, jobs = 1024, 100_000
+	tr := New(ringCap)
+	for i := 0; i < jobs; i++ {
+		tr.Instant("dp/leaf", "core", S("trace_id", fmt.Sprintf("trace-%d", i)), S("job", fmt.Sprintf("j%d", i)))
+	}
+	evs := tr.Events()
+	if len(evs) != ringCap {
+		t.Fatalf("ring holds %d events, want %d", len(evs), ringCap)
+	}
+	for k, ev := range evs {
+		i := jobs - ringCap + k
+		if ev.Args[0].Str != fmt.Sprintf("trace-%d", i) || ev.Args[1].Str != fmt.Sprintf("j%d", i) {
+			t.Fatalf("event %d of the ring carries %q/%q, want trace-%d/j%d", k, ev.Args[0].Str, ev.Args[1].Str, i, i)
+		}
+	}
+	var buf bytes.Buffer
+	if err := tr.WriteJSONFilter(&buf, fmt.Sprintf("trace-%d", jobs-1)); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Args map[string]any `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	if len(doc.TraceEvents) != 1 || doc.TraceEvents[0].Args["job"] != fmt.Sprintf("j%d", jobs-1) {
+		t.Errorf("filtering the newest trace found %+v, want its one event", doc.TraceEvents)
+	}
+	// Four fixed strings, two IDs per retained event, and at most one
+	// ring's worth of newer IDs since the last rebuild.
+	tr.mu.Lock()
+	n := len(tr.strs)
+	tr.mu.Unlock()
+	if limit := 4 + 2*2*ringCap; n > limit {
+		t.Errorf("intern table holds %d strings, want at most %d", n, limit)
 	}
 }

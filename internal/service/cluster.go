@@ -52,10 +52,8 @@ func (cl clusterLocal) CachePut(key string, val []byte) {
 }
 
 func (cl clusterLocal) Submit(ctx context.Context, body []byte, meta cluster.ForwardMeta) ([]byte, int) {
-	ctx = withForwardMeta(ctx, meta)
-	if meta.TraceID != "" {
-		ctx = reqctx.WithTraceID(ctx, meta.TraceID)
-	}
+	// Submit mints a trace ID if the sender forwarded none.
+	ctx = reqctx.WithTraceID(withForwardMeta(ctx, meta), meta.TraceID)
 	ctx = WithAPIKey(ctx, meta.APIKey)
 	var req Request
 	if err := json.Unmarshal(body, &req); err != nil {

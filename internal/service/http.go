@@ -156,7 +156,7 @@ func (d *Daemon) handleJobGet(w http.ResponseWriter, r *http.Request) {
 
 func (d *Daemon) handleTrace(w http.ResponseWriter, r *http.Request) {
 	if d.cfg.Tracer == nil {
-		writeError(w, http.StatusNotFound, ErrBadRequest, "tracing disabled (start the daemon with -trace-events)")
+		writeError(w, http.StatusNotFound, ErrBadRequest, "no ring tracer: this daemon was built without Config.Tracer")
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -172,10 +172,6 @@ func (d *Daemon) handleTrace(w http.ResponseWriter, r *http.Request) {
 // collector (msrnetctl -trace) fans this out over the membership and
 // stitches the exports into one cross-process tree.
 func (d *Daemon) handleSpans(w http.ResponseWriter, r *http.Request) {
-	if d.cfg.Spans == nil {
-		writeError(w, http.StatusNotFound, ErrBadRequest, "span tracing disabled")
-		return
-	}
 	id := r.PathValue("id")
 	body, ok := d.cfg.Spans.ExportJSON(id)
 	if !ok {
@@ -190,7 +186,7 @@ func (d *Daemon) handleSpans(w http.ResponseWriter, r *http.Request) {
 // ring (bounded by ?n=, newest-last) and each SLO rule's evaluation.
 func (d *Daemon) handleRecorder(w http.ResponseWriter, r *http.Request) {
 	if d.cfg.Recorder == nil {
-		writeError(w, http.StatusNotFound, ErrBadRequest, "flight recorder disabled (start the daemon with -postmortem-dir or -slo)")
+		writeError(w, http.StatusNotFound, ErrBadRequest, "no flight recorder: this daemon was built without Config.Recorder")
 		return
 	}
 	n := 0
@@ -210,7 +206,7 @@ func (d *Daemon) handleRecorder(w http.ResponseWriter, r *http.Request) {
 // the automatic-trigger cooldown, and returns the bundle path.
 func (d *Daemon) handleDump(w http.ResponseWriter, r *http.Request) {
 	if d.cfg.Recorder == nil {
-		writeError(w, http.StatusNotFound, ErrBadRequest, "flight recorder disabled (start the daemon with -postmortem-dir)")
+		writeError(w, http.StatusNotFound, ErrBadRequest, "no flight recorder: this daemon was built without Config.Recorder")
 		return
 	}
 	dir, err := d.cfg.Recorder.Trigger(recorder.ReasonManual, "POST /debug/dump from "+r.RemoteAddr)

@@ -100,12 +100,15 @@ type Config struct {
 	// replays un-acked entries on startup via Recover. Nil disables
 	// durability (jobs live only in memory, as before).
 	Store *jobstore.Store
-	// Spans, when non-nil, is the per-process distributed-tracing index
-	// (DESIGN.md §15): the job lifecycle records explicit spans into it
-	// — submit, decode, admission, queue wait, solve with its DP phases,
-	// cache hops, forwards, WAL appends — keyed by the request's trace
-	// ID, and GET /debug/spans/{traceID} serves them to the fleet
-	// collector. Nil disables span recording (every hook is inert).
+	// Spans is the per-process distributed-tracing index (DESIGN.md
+	// §15): the job lifecycle records explicit spans into it — submit,
+	// decode, admission, queue wait, solve with its DP phases, cache
+	// hops, forwards, WAL appends — keyed by the request's trace ID, and
+	// GET /debug/spans/{traceID} serves them to the fleet collector. The
+	// spans are also the job's clock: explain timings and latency
+	// windows read their durations. New builds an index (process
+	// "msrnetd") when nil; a fleet member that stitches traces across
+	// processes passes one named by its cluster identity.
 	Spans *spans.Index
 }
 
@@ -199,16 +202,14 @@ type task struct {
 
 	ctx    context.Context
 	cancel context.CancelFunc
-	// Tracing state: the queue-wait span (started at dispatch, ended at
-	// dequeue), the solve span's context (DP phase spans in exec parent
+	// Tracing state, which is also the job's clock: the queue-wait span
+	// (started at dispatch, ended at dequeue; the job's total runs from
+	// its start), the solve span's context (DP phase spans in exec parent
 	// under it), and — for WAL-replayed tasks — the replay root span
 	// ended when the recovered result lands.
-	qspan    *spans.Span
-	sctx     context.Context
-	rspan    *spans.Span
-	enqueued time.Time
-	waitMs   float64 // queue wait, stamped at dequeue
-	solveMs  float64 // wall-clock of the solve attempt(s)
+	qspan *spans.Span
+	sctx  context.Context
+	rspan *spans.Span
 
 	res  Result
 	done chan struct{}
@@ -224,6 +225,9 @@ func New(cfg Config) *Daemon {
 	}
 	if cfg.Logger == nil {
 		cfg.Logger = slog.Default()
+	}
+	if cfg.Spans == nil {
+		cfg.Spans = spans.NewIndex(spans.Options{Process: "msrnetd"})
 	}
 	reg := cfg.Reg
 	d := &Daemon{
@@ -259,22 +263,22 @@ func New(cfg Config) *Daemon {
 	}
 	// Postmortem bundles carry the live jobs view so an incident report
 	// can say what was in flight when the daemon died.
-	cfg.Recorder.SetJobs(func() any {
+	cfg.Recorder.SetSource(recorder.FileJobs, func() any {
 		active, recent := d.table.List()
 		return jobListBody{Schema: ExplainSchema, Active: active, Recent: recent}
 	})
-	// Postmortem bundles carry the tenancy view (quota fill, stride
-	// state, per-tenant counters) so an incident report can say who was
-	// being throttled or starved when the daemon died.
-	cfg.Recorder.SetTenants(d.TenantsState)
 	if cfg.Cluster != nil {
 		// Inbound cluster traffic (shard-cache gets/puts, forwarded
 		// batches, health probes for gossip) dispatches to this daemon.
 		cfg.Cluster.SetLocal(clusterLocal{d: d})
 		// Postmortem bundles carry the peer view, so an incident report
 		// can say what the fleet looked like when the daemon died.
-		cfg.Recorder.SetCluster(func() any { return cfg.Cluster.State() })
+		cfg.Recorder.SetSource(recorder.FileCluster, func() any { return cfg.Cluster.State() })
 	}
+	// Postmortem bundles carry the tenancy view (quota fill, stride
+	// state, per-tenant counters) so an incident report can say who was
+	// being throttled or starved when the daemon died.
+	cfg.Recorder.SetSource(recorder.FileTenants, d.TenantsState)
 	d.workers.Set(int64(cfg.Workers))
 	d.wg.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
@@ -319,7 +323,9 @@ func decodeErr(label string, err error) *SubmitError {
 // queue_full — partial admission would make 429 retries recompute the
 // admitted half.
 func (d *Daemon) Submit(ctx context.Context, req *Request) (*Response, *SubmitError) {
-	submitStart := time.Now()
+	// Every job is traced, because its spans are its clock: a caller
+	// that sent no trace ID gets one minted here, as at the HTTP edge.
+	ctx, traceID := reqctx.EnsureTraceID(ctx)
 	// Root span of this process's share of the trace. A forwarded batch
 	// carries the sender's hop span reference, so this root links under
 	// it and the stitched trace shows both sides of the hop.
@@ -342,7 +348,6 @@ func (d *Daemon) Submit(ctx context.Context, req *Request) (*Response, *SubmitEr
 
 	// Decode every net up front: a malformed net is the client's fault
 	// and must be a structured 400, not a queued failure.
-	traceID := reqctx.TraceID(ctx)
 	results := make([]Result, len(req.Jobs))
 	var pending []*task
 	_, dec := d.cfg.Spans.Start(ctx, "decode")
@@ -436,12 +441,12 @@ func (d *Daemon) Submit(ctx context.Context, req *Request) (*Response, *SubmitEr
 			d.rejected.Add(int64(len(pending)))
 			tn.rejected.Add(int64(len(pending)))
 		}
-		ms := float64(time.Since(submitStart)) / float64(time.Millisecond)
+		total := millis(root.Elapsed())
 		for _, t := range pending {
 			t.cancel()
 			e := d.table.detach(t.jid)
 			e.Code = err.Code
-			e.TotalMs = ms
+			e.TotalMs = total
 			d.retire(e, OutcomeRejected)
 		}
 		return nil, err
@@ -525,67 +530,41 @@ func (d *Daemon) worker() {
 		if t == nil {
 			return
 		}
-		t.waitMs = float64(time.Since(t.enqueued)) / float64(time.Millisecond)
 		d.runTask(t)
 	}
 }
 
-// runTask executes one task with panic isolation and the per-job
-// deadline. The job body runs on its own goroutine so a deadline can
-// preempt the wait (the computation itself is not interruptible — it
-// finishes in the background and is discarded).
+// runTask executes one task on the worker itself. The job's context is
+// its one deadline: the DP polls it, the latency fault waits on it,
+// and the rest of a job body is linear in a validated net, so the
+// worker waits for the body and starts its next job only once this
+// one has stopped. A body that returns after the context is done is a
+// deadline miss however it ended.
 func (d *Daemon) runTask(t *task) {
 	defer close(t.done)
 	defer t.cancel()
 	d.table.setRunning(t.jid)
-	t.qspan.End() // queue wait is over: a worker has the task
+	wait := t.qspan.End() // queue wait is over: a worker has the task
+	var solve time.Duration
 
 	if err := t.ctx.Err(); err != nil {
 		t.res = d.failResult(t, ErrDeadlineExceeded, fmt.Sprintf("expired before start: %v", err))
-		d.deadlines.Inc()
 	} else if d.shouldShed(t) {
 		d.shed.Inc()
 		t.res = d.failResult(t, ErrShedLoad, fmt.Sprintf(
 			"job spent its deadline queued (%v remaining < %v margin); resubmit for a fresh budget",
 			remainingBudget(t.ctx), d.cfg.ShedMargin))
 	} else {
-		resCh := make(chan Result, 1)
 		var solveSpan *spans.Span
 		t.sctx, solveSpan = d.cfg.Spans.Start(t.ctx, "solve")
-		solveStart := time.Now()
-		go func() {
-			defer func() {
-				if p := recover(); p != nil {
-					d.panics.Inc()
-					d.log.ErrorContext(t.ctx, "job panic recovered", "job", t.label, "panic", fmt.Sprint(p))
-					// A worker panic is a postmortem trigger: the recorder
-					// snapshots the last minutes of daemon state while the
-					// evidence is still hot (cooldown-debounced, so a panic
-					// storm writes one bundle, not hundreds).
-					if dir, err := d.cfg.Recorder.TriggerAuto(recorder.ReasonPanic,
-						fmt.Sprintf("job %s: %v", t.jid, p)); err != nil {
-						d.log.ErrorContext(t.ctx, "postmortem capture failed", "err", err)
-					} else if dir != "" {
-						d.log.ErrorContext(t.ctx, "postmortem bundle written", "bundle", dir)
-					}
-					resCh <- d.failResult(t, ErrInternal, fmt.Sprintf("panic: %v", p))
-				}
-			}()
-			if err := d.cfg.Faults.Fire(t.ctx, "svc/worker"); err != nil {
-				resCh <- d.failResult(t, ErrInternal, fmt.Sprintf("worker: %v", err))
-				return
-			}
-			resCh <- d.exec(t)
-		}()
-		select {
-		case r := <-resCh:
-			t.res = r
-		case <-t.ctx.Done():
-			d.deadlines.Inc()
-			t.res = d.failResult(t, ErrDeadlineExceeded, fmt.Sprintf("job exceeded deadline: %v", t.ctx.Err()))
+		t.res = d.exec(t)
+		solve = solveSpan.End()
+		if err := t.ctx.Err(); err != nil && t.res.Code != ErrDeadlineExceeded {
+			t.res = d.failResult(t, ErrDeadlineExceeded, fmt.Sprintf("job exceeded deadline: %v", err))
 		}
-		t.solveMs = float64(time.Since(solveStart)) / float64(time.Millisecond)
-		solveSpan.End()
+	}
+	if t.res.Code == ErrDeadlineExceeded {
+		d.deadlines.Inc()
 	}
 
 	// Persist the outcome before anything can deliver it: a crash after
@@ -612,100 +591,41 @@ func (d *Daemon) runTask(t *task) {
 	} else {
 		d.failed.Inc()
 	}
-	d.finishJob(t)
+	d.finishJob(t, wait, solve)
 	d.log.InfoContext(t.ctx, "job done", "job", t.label, "status", t.res.Status, "code", t.res.Code,
 		"mode", t.job.Mode, "net_key", t.netKey, "degraded", t.res.Degraded,
-		"outcome", t.explain.Outcome, "queue_wait_ms", t.waitMs, "solve_ms", t.solveMs)
+		"outcome", t.explain.Outcome, "queue_wait_ms", t.explain.QueueWaitMs, "solve_ms", t.explain.SolveMs)
 }
 
-// finishJob completes a worker-run job (ok, degraded, shed, error or
-// WAL-replayed): it fills the explain report's completion fields,
-// retires it, and — when the request asked — attaches it to the
-// result. A replayed job has no waiting request handler, so its result
-// lands in the /v1/recovered table here and its replay span closes.
-func (d *Daemon) finishJob(t *task) {
-	e := d.table.detach(t.jid)
-	e.Code = t.res.Code
-	e.QueueWaitMs = t.waitMs
-	e.SolveMs = t.solveMs
-	e.TotalMs = float64(time.Since(t.enqueued)) / float64(time.Millisecond)
-	if t.res.Opt != nil {
-		e.Solve = solveExplain(t.res.Opt.Stats)
-		e.Profile = t.prof
-		if t.res.Degraded {
-			e.Degradation = &DegradeExplain{
-				Reason:     t.res.DegradedReason,
-				CoarseEps:  t.res.Opt.CoarseEps,
-				ErrorBound: t.res.Opt.CoarseEps * float64(t.res.Opt.Stats.PruneCalls),
+// exec computes the job's result on the worker, under a deferred
+// recover: a panic costs the job its result, an internal error, and
+// never the worker.
+func (d *Daemon) exec(t *task) (res Result) {
+	defer func() {
+		if p := recover(); p != nil {
+			d.panics.Inc()
+			d.log.ErrorContext(t.ctx, "job panic recovered", "job", t.label, "panic", fmt.Sprint(p))
+			// A worker panic is a postmortem trigger: the recorder
+			// snapshots the last minutes of daemon state while the
+			// evidence is still hot (cooldown-debounced, so a panic
+			// storm writes one bundle, not hundreds).
+			if dir, err := d.cfg.Recorder.TriggerAuto(recorder.ReasonPanic,
+				fmt.Sprintf("job %s: %v", t.jid, p)); err != nil {
+				d.log.ErrorContext(t.ctx, "postmortem capture failed", "err", err)
+			} else if dir != "" {
+				d.log.ErrorContext(t.ctx, "postmortem bundle written", "bundle", dir)
 			}
+			res = d.failResult(t, ErrInternal, fmt.Sprintf("panic: %v", p))
 		}
+	}()
+	if err := d.cfg.Faults.Fire(t.ctx, "svc/worker"); err != nil {
+		return d.failResult(t, ErrInternal, fmt.Sprintf("worker: %v", err))
 	}
-	e.Spans = d.cfg.Spans.Summarize(e.TraceID)
-	d.retire(e, outcomeOf(t.res))
-	if t.want {
-		t.res.Explain = e
-	}
-	t.tn.latE2E.Observe(e.TotalMs)
-	if t.res.Status == StatusOK {
-		t.tn.completed.Inc()
-	}
-	if t.replayed {
-		t.rspan.End()
-		d.rec.complete(t.walUID, t.res)
-	}
-}
-
-// retire is the one exit of every job's report: the worker's finish,
-// an admission rejection, a forward to a peer, or a cache hit. It marks
-// the report done with its outcome, records it in the done ring (after
-// which it is immutable), and observes the outcome's latency windows —
-// except for a cache hit, which never queued or solved.
-func (d *Daemon) retire(e *Explain, outcome string) {
-	e.State, e.Outcome = JobDone, outcome
-	d.table.record(e)
-	if e.Cached {
-		return
-	}
-	lw := d.lat[outcome]
-	lw.queue.ObserveEx(e.QueueWaitMs, e.TraceID)
-	lw.solve.ObserveEx(e.SolveMs, e.TraceID)
-	lw.e2e.ObserveEx(e.TotalMs, e.TraceID)
-}
-
-// shouldShed reports whether the task's remaining deadline at dequeue
-// is below the shedding margin — the job spent its budget queued and
-// an attempt would almost surely time out mid-flight.
-func (d *Daemon) shouldShed(t *task) bool {
-	if d.cfg.ShedMargin <= 0 {
-		return false
-	}
-	rem := remainingBudget(t.ctx)
-	return rem >= 0 && rem < d.cfg.ShedMargin
-}
-
-// remainingBudget returns the time left before ctx's deadline, or -1
-// when it has none.
-func remainingBudget(ctx context.Context) time.Duration {
-	dl, ok := ctx.Deadline()
-	if !ok {
-		return -1
-	}
-	return time.Until(dl)
-}
-
-func (d *Daemon) failResult(t *task, code, msg string) Result {
-	return Result{ID: t.label, Status: StatusError, Code: code, Error: msg,
-		NetKey: t.netKey, Retryable: retryableCode(code)}
-}
-
-// exec computes the job's result. It runs on a per-job goroutine under
-// runTask's panic guard.
-func (d *Daemon) exec(t *task) Result {
 	if d.execHook != nil {
 		return d.execHook(t.ctx, t)
 	}
 	j := t.job
-	res := Result{ID: t.label, Status: StatusOK, NetKey: t.netKey}
+	res = Result{ID: t.label, Status: StatusOK, NetKey: t.netKey}
 	rt := t.tr.RootAt(t.tr.Terminals()[0])
 
 	// Tag every trace event of this job with its request-scoped identity
@@ -792,6 +712,91 @@ func (d *Daemon) exec(t *task) Result {
 		res.Opt = opt2
 	}
 	return res
+}
+
+// finishJob completes a worker-run job (ok, degraded, shed, error or
+// WAL-replayed): it fills the explain report's completion fields from
+// the job's spans — queue wait and solve as their durations, the total
+// since the queue span started — retires it, and, when the request
+// asked, attaches it to the result. A replayed job has no waiting
+// request handler, so its result lands in the /v1/recovered table here
+// and its replay span closes.
+func (d *Daemon) finishJob(t *task, wait, solve time.Duration) {
+	e := d.table.detach(t.jid)
+	e.Code = t.res.Code
+	e.QueueWaitMs = millis(wait)
+	e.SolveMs = millis(solve)
+	e.TotalMs = millis(t.qspan.Elapsed())
+	if t.res.Opt != nil {
+		e.Solve = solveExplain(t.res.Opt.Stats)
+		e.Profile = t.prof
+		if t.res.Degraded {
+			e.Degradation = &DegradeExplain{
+				Reason:     t.res.DegradedReason,
+				CoarseEps:  t.res.Opt.CoarseEps,
+				ErrorBound: t.res.Opt.CoarseEps * float64(t.res.Opt.Stats.PruneCalls),
+			}
+		}
+	}
+	e.Spans = d.cfg.Spans.Summarize(e.TraceID)
+	d.retire(e, outcomeOf(t.res))
+	if t.want {
+		t.res.Explain = e
+	}
+	t.tn.latE2E.Observe(e.TotalMs)
+	if t.res.Status == StatusOK {
+		t.tn.completed.Inc()
+	}
+	if t.replayed {
+		t.rspan.End()
+		d.rec.complete(t.walUID, t.res)
+	}
+}
+
+// millis converts a span duration to the explain reports' milliseconds.
+func millis(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+
+// retire is the one exit of every job's report: the worker's finish,
+// an admission rejection, a forward to a peer, or a cache hit. It marks
+// the report done with its outcome, records it in the done ring (after
+// which it is immutable), and observes the outcome's latency windows —
+// except for a cache hit, which never queued or solved.
+func (d *Daemon) retire(e *Explain, outcome string) {
+	e.State, e.Outcome = JobDone, outcome
+	d.table.record(e)
+	if e.Cached {
+		return
+	}
+	lw := d.lat[outcome]
+	lw.queue.ObserveEx(e.QueueWaitMs, e.TraceID)
+	lw.solve.ObserveEx(e.SolveMs, e.TraceID)
+	lw.e2e.ObserveEx(e.TotalMs, e.TraceID)
+}
+
+// shouldShed reports whether the task's remaining deadline at dequeue
+// is below the shedding margin — the job spent its budget queued and
+// an attempt would almost surely time out mid-flight.
+func (d *Daemon) shouldShed(t *task) bool {
+	if d.cfg.ShedMargin <= 0 {
+		return false
+	}
+	rem := remainingBudget(t.ctx)
+	return rem >= 0 && rem < d.cfg.ShedMargin
+}
+
+// remainingBudget returns the time left before ctx's deadline, or -1
+// when it has none.
+func remainingBudget(ctx context.Context) time.Duration {
+	dl, ok := ctx.Deadline()
+	if !ok {
+		return -1
+	}
+	return time.Until(dl)
+}
+
+func (d *Daemon) failResult(t *task, code, msg string) Result {
+	return Result{ID: t.label, Status: StatusError, Code: code, Error: msg,
+		NetKey: t.netKey, Retryable: retryableCode(code)}
 }
 
 // degradeInfo describes the fallback a degraded optimization took.

@@ -239,7 +239,7 @@ func (d *Daemon) Recover(rep *jobstore.Replay) (requeued, restored int) {
 			continue
 		}
 		d.rec.add(&RecoveredJob{UID: e.UID, Tenant: e.Tenant, Label: e.Label,
-			TraceID: e.TraceID, NetKey: e.NetKey, State: "pending", Resolved: e.Degraded})
+			TraceID: t.traceID, NetKey: e.NetKey, State: "pending", Resolved: e.Degraded})
 		d.table.start(t.explain)
 		tasks = append(tasks, t)
 		requeued++
@@ -266,18 +266,16 @@ func (d *Daemon) replayTask(e *jobstore.Entry, tn *tenantState) (*task, error) {
 	}
 	seq := d.seq.Add(1)
 	jid := fmt.Sprintf("j%d", seq)
-	t := &task{job: &job, label: e.Label, netKey: e.NetKey, key: e.Key, tr: tr, tech: tech,
-		traceID: e.TraceID, jid: jid, seq: seq, tn: tn, walUID: e.UID, replayed: true,
-		done: make(chan struct{})}
-	t.explain = newExplain(t)
-	ctx := reqctx.WithJobID(context.Background(), jid)
-	if e.TraceID != "" {
-		ctx = reqctx.WithTraceID(ctx, e.TraceID)
-	}
 	// Replayed work re-enters the ORIGINAL trace: the replay root span
 	// records under the trace ID persisted at admission, so a collector
 	// stitching that trace sees the pre-crash spans (if any survived)
-	// and the post-crash replay in one tree.
+	// and the post-crash replay in one tree. An entry logged without
+	// one gets a fresh ID, because a job's spans are its clock.
+	ctx, traceID := reqctx.EnsureTraceID(reqctx.WithTraceID(reqctx.WithJobID(context.Background(), jid), e.TraceID))
+	t := &task{job: &job, label: e.Label, netKey: e.NetKey, key: e.Key, tr: tr, tech: tech,
+		traceID: traceID, jid: jid, seq: seq, tn: tn, walUID: e.UID, replayed: true,
+		done: make(chan struct{})}
+	t.explain = newExplain(t)
 	ctx, rspan := d.cfg.Spans.Start(ctx, "replay")
 	rspan.Set("wal_uid", e.UID)
 	t.rspan = rspan

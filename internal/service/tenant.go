@@ -309,7 +309,6 @@ func (d *Daemon) unreserve(tn *tenantState, n int) {
 // dispatch hands reserved (or recovered, slot-free) tasks to the stride
 // scheduler. Tasks carry their tenant on t.tn.
 func (d *Daemon) dispatch(ts []*task) {
-	now := time.Now()
 	// Queue-wait spans open here — admission is done, a worker is not —
 	// and close at dequeue in runTask. Outside d.mu: the span index has
 	// its own lock.
@@ -318,7 +317,6 @@ func (d *Daemon) dispatch(ts []*task) {
 	}
 	d.mu.Lock()
 	for _, t := range ts {
-		t.enqueued = now
 		tn := t.tn
 		if len(tn.queue) == 0 {
 			// An idling tenant re-enters at the scheduler's current
